@@ -4,30 +4,6 @@
 
 namespace jstar {
 
-namespace {
-
-/// Snapshot of the emission counters summed over a table set, for
-/// RunReport deltas (run() may be called repeatedly on one database).
-struct EmitCounters {
-  std::int64_t flushes = 0;
-  std::int64_t buffered = 0;
-  std::int64_t inline_batches = 0;
-};
-
-EmitCounters emit_counters(
-    const std::vector<std::unique_ptr<TableBase>>& tables) {
-  EmitCounters out;
-  for (const auto& t : tables) {
-    const TableStats& s = t->stats();
-    out.flushes += s.emit_flushes.load(std::memory_order_relaxed);
-    out.buffered += s.emit_buffered.load(std::memory_order_relaxed);
-    out.inline_batches += s.inline_batches.load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-}  // namespace
-
 Engine::Engine(EngineOptions opts) : opts_(std::move(opts)) {
   JSTAR_CHECK_MSG(opts_.threads >= 1, "threads must be >= 1");
 }
@@ -119,14 +95,11 @@ bool Engine::step(RunReport* report) {
   DeltaKey key;
   std::unique_ptr<BatchNode> node;
   if (!delta_->pop_min(key, node)) return false;
-  const EmitCounters before = emit_counters(tables_);
+  const Counters before = snapshot(tables_);
   RunReport scratch;
   RunReport& out = report != nullptr ? *report : scratch;
   process_batch(key, *node, out);
-  const EmitCounters after = emit_counters(tables_);
-  out.emit_flushes += after.flushes - before.flushes;
-  out.emit_buffered += after.buffered - before.buffered;
-  out.inline_batches += after.inline_batches - before.inline_batches;
+  out += snapshot(tables_) - before;
   return true;
 }
 
@@ -144,7 +117,7 @@ RunReport Engine::run() {
   // Surface any puts buffered outside a run (hand-built RuleCtx callers)
   // before the first pop decides whether there is work at all.
   flush_emits();
-  const EmitCounters before = emit_counters(tables_);
+  const Counters before = snapshot(tables_);
   DeltaKey key;
   std::unique_ptr<BatchNode> node;
   int since_gc = 0;
@@ -156,10 +129,7 @@ RunReport Engine::run() {
       since_gc = 0;
     }
   }
-  const EmitCounters after = emit_counters(tables_);
-  report.emit_flushes = after.flushes - before.flushes;
-  report.emit_buffered = after.buffered - before.buffered;
-  report.inline_batches = after.inline_batches - before.inline_batches;
+  report += snapshot(tables_) - before;
   report.seconds = timer.seconds();
   return report;
 }

@@ -84,19 +84,14 @@ struct EngineOptions {
   std::int64_t inline_fire_cutoff = 16;
 };
 
-/// Summary of one Engine::run().
-struct RunReport {
+/// Summary of one Engine::run(): the batch shape, plus how much every
+/// table counter moved over the run, summed across tables (the Counters
+/// base: report.emit_flushes, report.fires, ...).
+struct RunReport : Counters {
   std::int64_t batches = 0;        // Delta equivalence classes processed
   std::int64_t tuples = 0;         // tuples taken out of Delta
   std::int64_t max_batch = 0;      // largest equivalence class
   double seconds = 0.0;
-  // Batch-at-a-time emission over the run, summed across tables
-  // (TableStats deltas): bulk flushes that reached the Delta tree, rule
-  // puts that travelled through emit buffers, and fire phases that ran
-  // inline on the coordinator instead of a pool round-trip.
-  std::int64_t emit_flushes = 0;
-  std::int64_t emit_buffered = 0;
-  std::int64_t inline_batches = 0;
 };
 
 class Engine {

@@ -2,6 +2,14 @@
 // statistics about each table during a program run").  Fed to the viz
 // module to emit annotated dependency graphs, and used by the phase
 // breakdown bench.
+//
+// JSTAR_TABLE_COUNTERS is the one declaration of the counters.  The live
+// atomics (TableStats), the plain value every report carries (Counters),
+// the descriptor table the run log and tests iterate (kCounterFields) and
+// the table sum (snapshot) all derive from it, so a new counter is one
+// line below plus its increment sites.  It then shows up in RunReport,
+// ShardStats/ShardedRunReport, query_stats(), EpochStats, StreamReport and
+// the run-log JSON (under its own name as the key).
 #pragma once
 
 #include <atomic>
@@ -9,83 +17,102 @@
 
 namespace jstar {
 
-struct TableStats {
-  std::atomic<std::int64_t> puts{0};           // tuples put by rules/initial
-  std::atomic<std::int64_t> delta_inserts{0};  // entered the Delta tree
-  std::atomic<std::int64_t> delta_dups{0};     // discarded as batch duplicates
-  std::atomic<std::int64_t> gamma_inserts{0};  // stored into Gamma
-  std::atomic<std::int64_t> gamma_dups{0};     // set-semantics duplicates
-  std::atomic<std::int64_t> gamma_retired{0};  // retired by retain(N) GC
-  // -noGamma throughput: tuples accepted by a NullStore but never stored,
-  // so such tables show their traffic instead of a silent size() == 0.
-  std::atomic<std::int64_t> gamma_passed_through{0};
-  std::atomic<std::int64_t> fires{0};          // rule invocations triggered
-  std::atomic<std::int64_t> queries{0};        // query operations served
-  std::atomic<std::int64_t> pk_conflicts{0};   // primary-key invariant hits
-  std::atomic<std::int64_t> index_lookups{0};  // queries routed via an index
-  std::atomic<std::int64_t> full_scans{0};     // queries that had to scan
-  // --- query-planner access paths (core/query_plan.h) ---
-  std::atomic<std::int64_t> pk_probes{0};      // plans served by the pk index
-  std::atomic<std::int64_t> range_scans{0};    // plans served by ordered range
-  std::atomic<std::int64_t> empty_plans{0};    // contradictions: no data read
-  std::atomic<std::int64_t> index_retired{0};  // index entries swept by GC
-  std::atomic<std::int64_t> residual_rows{0};  // tuples a routed plan examined
-  std::atomic<std::int64_t> residual_hits{0};  // ...of which passed the filter
-  // --- columnar kernels (core/column_store.h) ---
-  std::atomic<std::int64_t> columnar_kernels{0};   // queries served by kernels
-  std::atomic<std::int64_t> columnar_rows{0};      // rows the kernels swept
-  std::atomic<std::int64_t> columnar_selected{0};  // ...the masks selected
-  // --- morsel-parallel execution (core/simd.h dispatch + ForkJoinPool) ---
-  std::atomic<std::int64_t> morsel_runs{0};    // scans/kernels that split
-  std::atomic<std::int64_t> morsel_splits{0};  // total morsels dispatched
-  // --- retractions & upserts (counted tables, ROADMAP item 4) ---
-  std::atomic<std::int64_t> retracts{0};        // retract deltas processed
-  std::atomic<std::int64_t> gamma_erased{0};    // tuples removed from Gamma
-  std::atomic<std::int64_t> retract_debts{0};   // retract-before-insert debts
-  std::atomic<std::int64_t> annihilated{0};     // inserts cancelled by debt
-  std::atomic<std::int64_t> upserts{0};         // upsert deltas processed
-  std::atomic<std::int64_t> upsert_replaced{0}; // ...that displaced a tuple
-  // --- batch-at-a-time rule firing (emit buffers + adaptive fire phase) ---
-  std::atomic<std::int64_t> emit_flushes{0};    // flushes that bulk-appended
-                                                // >= 1 record to Delta
-  std::atomic<std::int64_t> emit_buffered{0};   // puts routed via emit buffers
-  std::atomic<std::int64_t> inline_batches{0};  // fire phases run on the
-                                                // coordinator despite a pool
+// X(name), in storage (and run-log key) order.  The notes are /* */
+// comments: a // comment would swallow the line continuation.
+#define JSTAR_TABLE_COUNTERS(X)                                               \
+  X(puts)                 /* tuples put by rules/initial */                   \
+  X(delta_inserts)        /* entered the Delta tree */                        \
+  X(delta_dups)           /* discarded as batch duplicates */                 \
+  X(gamma_inserts)        /* stored into Gamma */                             \
+  X(gamma_dups)           /* set-semantics duplicates */                      \
+  X(gamma_retired)        /* retired by retain(N) GC */                       \
+  X(gamma_passed_through) /* -noGamma: accepted by a NullStore, not stored */ \
+  X(fires)                /* rule invocations triggered */                    \
+  X(queries)              /* query operations served */                       \
+  X(pk_conflicts)         /* primary-key invariant hits */                    \
+  X(index_lookups)        /* queries routed via an index */                   \
+  X(full_scans)           /* queries that had to scan */                      \
+  X(pk_probes)            /* planner: plans served by the pk index */         \
+  X(range_scans)          /* planner: plans served by ordered range */        \
+  X(empty_plans)          /* planner: contradictions, no data read */         \
+  X(index_retired)        /* index entries swept by GC */                     \
+  X(residual_rows)        /* tuples a routed plan examined */                 \
+  X(residual_hits)        /* ...of which passed the filter */                 \
+  X(columnar_kernels)     /* queries served by columnar kernels */            \
+  X(columnar_rows)        /* rows the kernels swept */                        \
+  X(columnar_selected)    /* ...the masks selected */                         \
+  X(morsel_runs)          /* scans/kernels that split into morsels */         \
+  X(morsel_splits)        /* total morsels dispatched */                      \
+  X(retracts)             /* retract deltas processed */                      \
+  X(gamma_erased)         /* tuples removed from Gamma */                     \
+  X(retract_debts)        /* retract-before-insert debts */                   \
+  X(annihilated)          /* inserts cancelled by debt */                     \
+  X(upserts)              /* upsert deltas processed */                       \
+  X(upsert_replaced)      /* ...that displaced a tuple */                     \
+  X(emit_flushes)         /* flushes that bulk-appended >= 1 record */        \
+  X(emit_buffered)        /* puts routed via emit buffers */                  \
+  X(inline_batches)       /* fire phases run inline on the coordinator */
 
-  void reset() {
-    puts = 0;
-    delta_inserts = 0;
-    delta_dups = 0;
-    gamma_inserts = 0;
-    gamma_dups = 0;
-    gamma_retired = 0;
-    gamma_passed_through = 0;
-    fires = 0;
-    queries = 0;
-    pk_conflicts = 0;
-    index_lookups = 0;
-    full_scans = 0;
-    pk_probes = 0;
-    range_scans = 0;
-    empty_plans = 0;
-    index_retired = 0;
-    residual_rows = 0;
-    residual_hits = 0;
-    columnar_kernels = 0;
-    columnar_rows = 0;
-    columnar_selected = 0;
-    morsel_runs = 0;
-    morsel_splits = 0;
-    retracts = 0;
-    gamma_erased = 0;
-    retract_debts = 0;
-    annihilated = 0;
-    upserts = 0;
-    upsert_replaced = 0;
-    emit_flushes = 0;
-    emit_buffered = 0;
-    inline_batches = 0;
-  }
+/// Plain-value copy of every counter: what reports carry, sum and diff.
+struct Counters {
+#define JSTAR_COUNTER_VALUE(name) std::int64_t name = 0;
+  JSTAR_TABLE_COUNTERS(JSTAR_COUNTER_VALUE)
+#undef JSTAR_COUNTER_VALUE
+
+  Counters& operator+=(const Counters& o);
+  friend Counters operator-(Counters a, const Counters& b);
+  friend bool operator==(const Counters&, const Counters&) = default;
 };
+
+/// The live counters of one table: one relaxed atomic per counter.
+struct TableStats {
+#define JSTAR_COUNTER_ATOMIC(name) std::atomic<std::int64_t> name{0};
+  JSTAR_TABLE_COUNTERS(JSTAR_COUNTER_ATOMIC)
+#undef JSTAR_COUNTER_ATOMIC
+
+  /// Relaxed snapshot of every counter.
+  Counters load() const;
+};
+
+/// One counter: its name (also its run-log JSON key) and its field in
+/// Counters and in TableStats.
+struct CounterField {
+  const char* name;
+  std::int64_t Counters::*value;
+  std::atomic<std::int64_t> TableStats::*live;
+};
+
+inline constexpr CounterField kCounterFields[] = {
+#define JSTAR_COUNTER_FIELD(name) {#name, &Counters::name, &TableStats::name},
+    JSTAR_TABLE_COUNTERS(JSTAR_COUNTER_FIELD)
+#undef JSTAR_COUNTER_FIELD
+};
+
+inline Counters& Counters::operator+=(const Counters& o) {
+  for (const CounterField& c : kCounterFields) this->*c.value += o.*c.value;
+  return *this;
+}
+
+inline Counters operator-(Counters a, const Counters& b) {
+  for (const CounterField& c : kCounterFields) a.*c.value -= b.*c.value;
+  return a;
+}
+
+inline Counters TableStats::load() const {
+  Counters out;
+  for (const CounterField& c : kCounterFields) {
+    out.*c.value = (this->*c.live).load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
+/// Sums the counters of a range of tables (elements are pointers, owning
+/// or not, to objects with stats()).
+template <typename Tables>
+Counters snapshot(const Tables& tables) {
+  Counters out;
+  for (const auto& t : tables) out += t->stats().load();
+  return out;
+}
 
 }  // namespace jstar

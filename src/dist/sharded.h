@@ -164,19 +164,23 @@ struct ShardedOptions {
   std::int64_t mailbox_capacity = 1 << 15;
 };
 
-/// Per-shard execution counters of one run (both modes fill them).
-struct ShardStats {
+/// Per-shard execution counters of one run (both modes fill them).  The
+/// Counters base sums the RunReport deltas of the shard's engine runs.
+struct ShardStats : Counters {
   std::int64_t polls = 0;           ///< mailbox drain calls, empty included
   std::int64_t drains = 0;          ///< non-empty mailbox drain epochs
   std::int64_t drained_tuples = 0;  ///< tuples delivered from the mailbox
   std::int64_t runs = 0;            ///< engine runs to quiescence
   std::int64_t idle_waits = 0;      ///< async: times the shard slept for mail
+  std::int64_t batches = 0;         ///< Delta batches of the engine runs
+  std::int64_t tuples = 0;          ///< tuples those runs took out of Delta
   double busy_seconds = 0.0;        ///< deliver + engine-run wall time
   double idle_seconds = 0.0;        ///< async: wall time blocked for mail
 };
 
-/// Summary of one ShardedEngine::run().
-struct ShardedRunReport {
+/// Summary of one ShardedEngine::run().  The Counters base is the sum of
+/// the shard_stats counters (every shard engine run's RunReport delta).
+struct ShardedRunReport : Counters {
   /// BSP: rounds executed (>= 1).  Async: the deepest per-shard epoch
   /// count (>= 1) — the pipelined analogue of the wavefront depth.
   int supersteps = 0;
@@ -187,51 +191,17 @@ struct ShardedRunReport {
   std::int64_t local_messages = 0;  // self-sends routed through the mailbox
   std::int64_t local_batches = 0;   // Delta batches summed over all shards
   std::int64_t local_tuples = 0;    // tuples taken out of Delta, all shards
-  // Batch-at-a-time emission summed over the shards' inner engines
-  // (RunReport emit_flushes/emit_buffered/inline_batches roll-up).
-  std::int64_t emit_flushes = 0;
-  std::int64_t emit_buffered = 0;
-  std::int64_t inline_batches = 0;
   double seconds = 0.0;
   std::vector<ShardStats> shard_stats;  // one entry per shard
 };
 
-/// Cluster-wide roll-up of the query-planner access-path counters
-/// (TableStats) summed over every table of every shard engine — how the
-/// planner actually routed rule-body lookups across the cluster.  Indexes
-/// are built *per shard* (each shard's setup callback declares them on its
-/// private tables), so these counters also prove per-shard index
-/// construction took effect.
-struct ClusterQueryStats {
-  std::int64_t queries = 0;
-  std::int64_t index_lookups = 0;
-  std::int64_t full_scans = 0;
-  std::int64_t pk_probes = 0;
-  std::int64_t range_scans = 0;
-  std::int64_t empty_plans = 0;
-  std::int64_t index_retired = 0;
-  std::int64_t gamma_retired = 0;
-  std::int64_t gamma_passed_through = 0;
-  std::int64_t residual_rows = 0;
-  std::int64_t residual_hits = 0;
-  std::int64_t columnar_kernels = 0;
-  std::int64_t columnar_rows = 0;
-  std::int64_t columnar_selected = 0;
-  std::int64_t morsel_runs = 0;
-  std::int64_t morsel_splits = 0;
-  // Counted-table deltas (retractions & upserts) across the cluster.
-  std::int64_t retracts = 0;
-  std::int64_t gamma_erased = 0;
-  std::int64_t retract_debts = 0;
-  std::int64_t annihilated = 0;
-  std::int64_t upserts = 0;
-  std::int64_t upsert_replaced = 0;
-  // Batch-at-a-time rule firing across the cluster (each shard's inner
-  // engine buffers its rule emissions and bulk-appends per batch).
-  std::int64_t emit_flushes = 0;
-  std::int64_t emit_buffered = 0;
-  std::int64_t inline_batches = 0;
-};
+/// Cluster-wide roll-up of the table counters, summed over every table
+/// of every shard engine: for example how the planner routed rule-body
+/// lookups across the cluster.  Indexes are built *per shard* (each
+/// shard's setup callback declares them on its private tables), so the
+/// access-path counters also prove per-shard index construction took
+/// effect.
+using ClusterQueryStats = Counters;
 
 template <typename T>
 class ShardedEngine;
@@ -432,47 +402,12 @@ class ShardedEngine {
   const ShardedOptions& sharded_options() const { return sopts_; }
   Engine& engine(int shard) { return *engines_.at(static_cast<std::size_t>(shard)); }
 
-  /// Sums the query-planner access-path counters over every shard's
-  /// tables.  Only meaningful while the cluster is quiescent (between
-  /// run()s) — shard workers bump the counters concurrently during a run.
+  /// Sums the table counters over every shard's tables.  Only meaningful
+  /// while the cluster is quiescent (between run()s) — shard workers bump
+  /// the counters concurrently during a run.
   ClusterQueryStats query_stats() const {
-    ClusterQueryStats out;
-    for (const auto& eng : engines_) {
-      for (const TableBase* t : eng->all_tables()) {
-        const TableStats& s = t->stats();
-        out.queries += s.queries.load(std::memory_order_relaxed);
-        out.index_lookups += s.index_lookups.load(std::memory_order_relaxed);
-        out.full_scans += s.full_scans.load(std::memory_order_relaxed);
-        out.pk_probes += s.pk_probes.load(std::memory_order_relaxed);
-        out.range_scans += s.range_scans.load(std::memory_order_relaxed);
-        out.empty_plans += s.empty_plans.load(std::memory_order_relaxed);
-        out.index_retired += s.index_retired.load(std::memory_order_relaxed);
-        out.gamma_retired += s.gamma_retired.load(std::memory_order_relaxed);
-        out.gamma_passed_through +=
-            s.gamma_passed_through.load(std::memory_order_relaxed);
-        out.residual_rows += s.residual_rows.load(std::memory_order_relaxed);
-        out.residual_hits += s.residual_hits.load(std::memory_order_relaxed);
-        out.columnar_kernels +=
-            s.columnar_kernels.load(std::memory_order_relaxed);
-        out.columnar_rows += s.columnar_rows.load(std::memory_order_relaxed);
-        out.columnar_selected +=
-            s.columnar_selected.load(std::memory_order_relaxed);
-        out.morsel_runs += s.morsel_runs.load(std::memory_order_relaxed);
-        out.morsel_splits += s.morsel_splits.load(std::memory_order_relaxed);
-        out.retracts += s.retracts.load(std::memory_order_relaxed);
-        out.gamma_erased += s.gamma_erased.load(std::memory_order_relaxed);
-        out.retract_debts += s.retract_debts.load(std::memory_order_relaxed);
-        out.annihilated += s.annihilated.load(std::memory_order_relaxed);
-        out.upserts += s.upserts.load(std::memory_order_relaxed);
-        out.upsert_replaced +=
-            s.upsert_replaced.load(std::memory_order_relaxed);
-        out.emit_flushes += s.emit_flushes.load(std::memory_order_relaxed);
-        out.emit_buffered +=
-            s.emit_buffered.load(std::memory_order_relaxed);
-        out.inline_batches +=
-            s.inline_batches.load(std::memory_order_relaxed);
-      }
-    }
+    Counters out;
+    for (const auto& eng : engines_) out += snapshot(eng->all_tables());
     return out;
   }
 
@@ -554,11 +489,9 @@ class ShardedEngine {
       for (const auto& [t, sign] : signed_mail) deliver_signed_[s](t, sign);
     }
     const RunReport r = engines_[s]->run();
-    shard_batches_[s] += r.batches;
-    shard_tuples_[s] += r.tuples;
-    shard_emit_flushes_[s] += r.emit_flushes;
-    shard_emit_buffered_[s] += r.emit_buffered;
-    shard_inline_batches_[s] += r.inline_batches;
+    st.batches += r.batches;
+    st.tuples += r.tuples;
+    st += r;
     st.busy_seconds += busy.seconds();
   }
 
@@ -571,15 +504,13 @@ class ShardedEngine {
     }
   }
 
-  void finalize_report(ShardedRunReport& report) {
+  static void finalize_report(ShardedRunReport& report) {
     report.supersteps = std::max(report.supersteps, 1);
-    for (std::size_t s = 0; s < report.shard_stats.size(); ++s) {
-      report.epochs += report.shard_stats[s].drains;
-      report.local_batches += shard_batches_[s];
-      report.local_tuples += shard_tuples_[s];
-      report.emit_flushes += shard_emit_flushes_[s];
-      report.emit_buffered += shard_emit_buffered_[s];
-      report.inline_batches += shard_inline_batches_[s];
+    for (const ShardStats& st : report.shard_stats) {
+      report.epochs += st.drains;
+      report.local_batches += st.batches;
+      report.local_tuples += st.tuples;
+      report += st;
     }
   }
 
@@ -674,7 +605,6 @@ class ShardedEngine {
     WallTimer timer;
     ShardedRunReport report;
     report.shard_stats.resize(static_cast<std::size_t>(shards_));
-    reset_run_state();
     bool first = true;
     std::int64_t moved = 0;
     while (first || moved > 0) {
@@ -829,7 +759,6 @@ class ShardedEngine {
     ShardedRunReport report;
     const auto n = static_cast<std::size_t>(shards_);
     report.shard_stats.resize(n);
-    reset_run_state();
     done_.store(false, std::memory_order_relaxed);
     abort_.store(false, std::memory_order_relaxed);
     errors_.assign(n, nullptr);
@@ -875,15 +804,6 @@ class ShardedEngine {
     return report;
   }
 
-  /// Zeroes the per-run accumulation slots shared by both modes.
-  void reset_run_state() {
-    shard_batches_.assign(static_cast<std::size_t>(shards_), 0);
-    shard_tuples_.assign(static_cast<std::size_t>(shards_), 0);
-    shard_emit_flushes_.assign(static_cast<std::size_t>(shards_), 0);
-    shard_emit_buffered_.assign(static_cast<std::size_t>(shards_), 0);
-    shard_inline_batches_.assign(static_cast<std::size_t>(shards_), 0);
-  }
-
   const int shards_;
   const ShardedOptions sopts_;
   std::unique_ptr<sched::ForkJoinPool> shared_pool_;  // null when sequential
@@ -892,14 +812,6 @@ class ShardedEngine {
   std::vector<std::unique_ptr<Mailbox<T>>> mailboxes_;
   std::vector<Deliver> deliver_;
   std::vector<DeliverSigned> deliver_signed_;
-
-  // Per-run accumulation (indexed by shard; each slot written by at most
-  // one thread during a run, folded into the report afterwards).
-  std::vector<std::int64_t> shard_batches_;
-  std::vector<std::int64_t> shard_tuples_;
-  std::vector<std::int64_t> shard_emit_flushes_;
-  std::vector<std::int64_t> shard_emit_buffered_;
-  std::vector<std::int64_t> shard_inline_batches_;
 
   // Async-run state.
   std::atomic<std::int64_t> unprocessed_{0};

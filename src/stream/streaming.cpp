@@ -12,11 +12,7 @@ void StreamReport::absorb(const EpochStats& e) {
   tuples += e.tuples;
   messages += e.messages;
   mail_epochs += e.mail_epochs;
-  gamma_retired += e.gamma_retired;
-  index_retired += e.index_retired;
-  emit_buffered += e.emit_buffered;
-  emit_flushes += e.emit_flushes;
-  inline_batches += e.inline_batches;
+  *this += e;
   max_epoch_ingested = std::max(max_epoch_ingested, e.ingested);
   busy_seconds += e.seconds;
 }

@@ -47,11 +47,13 @@
 //     assigning each ingested tuple to its owner shard.
 #pragma once
 
+#include <bitset>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <mutex>
 #include <string>
@@ -86,8 +88,8 @@ struct StreamOptions {
   std::size_t epoch_log_capacity = 1024;
 };
 
-/// Stats of one completed epoch.
-struct EpochStats {
+/// What one completed epoch did, apart from its table counters.
+struct EpochHead {
   std::int64_t epoch = 0;     ///< Engine::begin_epoch clock value
   std::int64_t ingested = 0;  ///< tuples drained from the ring
   std::int64_t batches = 0;   ///< Delta batches of the fixpoint run
@@ -97,27 +99,23 @@ struct EpochStats {
   /// only) — the fabric-churn counter the async batching collapses.  Idle
   /// polls never inflate it (ShardStats::drains semantics).
   std::int64_t mail_epochs = 0;
-  std::int64_t gamma_retired = 0;  ///< retain(N) tuples GC'd at epoch open
-  std::int64_t index_retired = 0;  ///< secondary-index entries swept with them
-  std::int64_t emit_buffered = 0;  ///< rule puts routed via emit buffers
-  std::int64_t emit_flushes = 0;   ///< bulk Delta flushes of the fixpoint
-  std::int64_t inline_batches = 0; ///< fire phases run on the coordinator
   double seconds = 0.0;       ///< deliver + run wall time
 };
 
-/// Cumulative stats of a stream (all epochs so far).
-struct StreamReport {
+/// Stats of one completed epoch.  The Counters base is how much every
+/// table counter moved from just before the epoch opened (so it includes
+/// retain(N) GC at begin_epoch) to the end of its fixpoint.
+struct EpochStats : EpochHead, Counters {};
+
+/// Cumulative stats of a stream (all epochs so far); the Counters base
+/// sums the epochs' counters.
+struct StreamReport : Counters {
   std::int64_t epochs = 0;
   std::int64_t ingested = 0;
   std::int64_t batches = 0;
   std::int64_t tuples = 0;
   std::int64_t messages = 0;
   std::int64_t mail_epochs = 0;  ///< cumulative cluster drain epochs
-  std::int64_t gamma_retired = 0;  ///< cumulative retain(N) GC volume
-  std::int64_t index_retired = 0;  ///< cumulative index entries swept
-  std::int64_t emit_buffered = 0;  ///< cumulative buffered rule puts
-  std::int64_t emit_flushes = 0;   ///< cumulative bulk Delta flushes
-  std::int64_t inline_batches = 0; ///< cumulative coordinator-inline fires
   std::int64_t max_epoch_ingested = 0;
   std::int64_t epoch_log_dropped = 0;  ///< per-epoch entries aged out
   double busy_seconds = 0.0;
@@ -129,24 +127,6 @@ struct StreamReport {
 };
 
 namespace detail {
-
-/// Snapshot of one engine's cumulative retirement counters, summed over
-/// its tables.  The epoch loop diffs these around begin_epoch() to report
-/// per-epoch GC volume (retain(N) Gamma retirement + the secondary-index
-/// sweep that rides along).
-struct RetiredTotals {
-  std::int64_t gamma = 0;
-  std::int64_t index = 0;
-};
-
-inline RetiredTotals retired_totals(Engine& eng) {
-  RetiredTotals r;
-  for (const TableBase* t : eng.all_tables()) {
-    r.gamma += t->stats().gamma_retired.load(std::memory_order_relaxed);
-    r.index += t->stats().index_retired.load(std::memory_order_relaxed);
-  }
-  return r;
-}
 
 /// Ring envelope: a stream tuple or the shutdown poison pill stop() sends
 /// through the same ordered channel (so shutdown drains everything
@@ -238,7 +218,8 @@ class IngestQueue {
 
 /// CRTP core shared by StreamingEngine and ShardedStreamingEngine: the
 /// ingestion ring, the epoch loop thread, the output channel and the
-/// stats/drain plumbing.  Derived implements the three epoch hooks:
+/// stats/drain plumbing.  Derived implements the epoch hooks:
+///   Counters counters();           // table counters summed over engines
 ///   std::int64_t epoch_begin();
 ///   void epoch_deliver(const T&, std::int32_t sign);
 ///   EpochStats epoch_fixpoint();   // fills batches/tuples/messages
@@ -326,8 +307,18 @@ class StreamBase {
   /// Drains the completed-epoch log (per-epoch StreamReport stats).
   std::vector<EpochStats> poll_epochs() {
     std::lock_guard<std::mutex> lk(mu_);
-    std::vector<EpochStats> got(epoch_log_.begin(), epoch_log_.end());
+    std::vector<EpochStats> got;
+    got.reserve(epoch_log_.size());
+    auto value = moved_values_.begin();
+    for (const LoggedEpoch& logged : epoch_log_) {
+      EpochStats& e = got.emplace_back();
+      static_cast<EpochHead&>(e) = logged.head;
+      for (std::size_t i = 0; i < logged.moved.size(); ++i) {
+        if (logged.moved[i]) e.*kCounterFields[i].value = *value++;
+      }
+    }
     epoch_log_.clear();
+    moved_values_.clear();
     return got;
   }
 
@@ -404,33 +395,42 @@ class StreamBase {
         cv_.notify_all();
         continue;
       }
-      EpochStats es;
-      es.epoch = derived().epoch_begin();
+      const Counters before = derived().counters();
+      const std::int64_t epoch = derived().epoch_begin();
       WallTimer timer;
-      es.ingested = static_cast<std::int64_t>(slice_.size());
       for (const auto& [t, sign] : slice_) derived().epoch_deliver(t, sign);
-      const EpochStats run = derived().epoch_fixpoint();
-      es.batches = run.batches;
-      es.tuples = run.tuples;
-      es.messages = run.messages;
-      es.mail_epochs = run.mail_epochs;
-      es.gamma_retired = run.gamma_retired;
-      es.index_retired = run.index_retired;
-      es.emit_buffered = run.emit_buffered;
-      es.emit_flushes = run.emit_flushes;
-      es.inline_batches = run.inline_batches;
+      EpochStats es = derived().epoch_fixpoint();
       es.seconds = timer.seconds();
+      es.epoch = epoch;
+      es.ingested = static_cast<std::int64_t>(slice_.size());
+      es += derived().counters() - before;
       {
         std::lock_guard<std::mutex> lk(mu_);
         report_.absorb(es);
-        epoch_log_.push_back(es);
-        while (epoch_log_.size() > sopts_.epoch_log_capacity) {
-          epoch_log_.pop_front();
-          ++report_.epoch_log_dropped;
-        }
+        log_epoch(es);
         processed_ = queue_.consumed();
       }
       cv_.notify_all();
+    }
+  }
+
+  /// Appends `es` to the epoch log, dropping the oldest entries beyond
+  /// StreamOptions::epoch_log_capacity.  Caller holds mu_.
+  void log_epoch(const EpochStats& es) {
+    LoggedEpoch& logged = epoch_log_.emplace_back(LoggedEpoch{es, {}});
+    for (std::size_t i = 0; i < logged.moved.size(); ++i) {
+      const std::int64_t v = es.*kCounterFields[i].value;
+      if (v == 0) continue;
+      logged.moved.set(i);
+      moved_values_.push_back(v);
+    }
+    while (epoch_log_.size() > sopts_.epoch_log_capacity) {
+      const std::size_t n = epoch_log_.front().moved.count();
+      moved_values_.erase(moved_values_.begin(),
+                          moved_values_.begin() +
+                              static_cast<std::ptrdiff_t>(n));
+      epoch_log_.pop_front();
+      ++report_.epoch_log_dropped;
     }
   }
 
@@ -461,7 +461,16 @@ class StreamBase {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   StreamReport report_;
-  std::deque<EpochStats> epoch_log_;
+  // The completed-epoch log keeps each epoch's head and only the counters
+  // that moved: most stay 0 within one epoch, and a stream may log up to
+  // epoch_log_capacity epochs.  moved_values_ holds the moved counters'
+  // values, entry by entry in log order, each entry's in list order.
+  struct LoggedEpoch {
+    EpochHead head;
+    std::bitset<std::size(kCounterFields)> moved;
+  };
+  std::deque<LoggedEpoch> epoch_log_;
+  std::deque<std::int64_t> moved_values_;
   std::int64_t processed_ = -1;
   bool running_ = true;
   std::exception_ptr error_ = nullptr;
@@ -529,14 +538,8 @@ class StreamingEngine final
   Engine& engine() { return engine_; }
 
  private:
-  std::int64_t epoch_begin() {
-    const detail::RetiredTotals before = detail::retired_totals(engine_);
-    const std::int64_t e = engine_.begin_epoch();
-    const detail::RetiredTotals after = detail::retired_totals(engine_);
-    epoch_gamma_retired_ = after.gamma - before.gamma;
-    epoch_index_retired_ = after.index - before.index;
-    return e;
-  }
+  Counters counters() const { return snapshot(engine_.all_tables()); }
+  std::int64_t epoch_begin() { return engine_.begin_epoch(); }
   void epoch_deliver(const T& t, std::int32_t sign) {
     if (sign == 1) {
       deliver_(t);
@@ -552,20 +555,12 @@ class StreamingEngine final
     EpochStats es;
     es.batches = r.batches;
     es.tuples = r.tuples;
-    es.gamma_retired = epoch_gamma_retired_;
-    es.index_retired = epoch_index_retired_;
-    es.emit_buffered = r.emit_buffered;
-    es.emit_flushes = r.emit_flushes;
-    es.inline_batches = r.inline_batches;
     return es;
   }
 
   Engine engine_;
   Deliver deliver_;
   DeliverSigned deliver_signed_;
-  // Consumer-thread scratch: GC volume of the epoch being processed.
-  std::int64_t epoch_gamma_retired_ = 0;
-  std::int64_t epoch_index_retired_ = 0;
 };
 
 /// A long-lived sharded stream: the cluster substrate (src/dist/sharded.h,
@@ -637,24 +632,8 @@ class ShardedStreamingEngine final
   dist::ShardedEngine<T>& cluster() { return cluster_; }
 
  private:
-  detail::RetiredTotals cluster_retired_totals() {
-    detail::RetiredTotals r;
-    for (int s = 0; s < cluster_.shards(); ++s) {
-      const detail::RetiredTotals one = detail::retired_totals(
-          cluster_.engine(s));
-      r.gamma += one.gamma;
-      r.index += one.index;
-    }
-    return r;
-  }
-  std::int64_t epoch_begin() {
-    const detail::RetiredTotals before = cluster_retired_totals();
-    const std::int64_t e = cluster_.begin_epoch();
-    const detail::RetiredTotals after = cluster_retired_totals();
-    epoch_gamma_retired_ = after.gamma - before.gamma;
-    epoch_index_retired_ = after.index - before.index;
-    return e;
-  }
+  Counters counters() const { return cluster_.query_stats(); }
+  std::int64_t epoch_begin() { return cluster_.begin_epoch(); }
   void epoch_deliver(const T& t, std::int32_t sign) {
     if (sign == 1) {
       cluster_.seed(route_(t), t);
@@ -669,18 +648,11 @@ class ShardedStreamingEngine final
     es.tuples = r.local_tuples;
     es.messages = r.messages;
     es.mail_epochs = r.epochs;
-    es.gamma_retired = epoch_gamma_retired_;
-    es.index_retired = epoch_index_retired_;
-    es.emit_buffered = r.emit_buffered;
-    es.emit_flushes = r.emit_flushes;
-    es.inline_batches = r.inline_batches;
     return es;
   }
 
   Route route_;
   dist::ShardedEngine<T> cluster_;
-  std::int64_t epoch_gamma_retired_ = 0;
-  std::int64_t epoch_index_retired_ = 0;
 };
 
 }  // namespace jstar::stream

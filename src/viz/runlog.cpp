@@ -27,47 +27,20 @@ std::string orderby_string(const TableBase& t) {
 }
 
 json::Value table_to_json(const TableLog& t) {
-  json::Array rules;
-  for (const std::string& r : t.rules) rules.emplace_back(r);
-  return json::Object{
+  json::Object o{
       {"name", t.name},
       {"orderby", t.orderby},
       {"store", t.store},
       {"no_delta", t.no_delta},
       {"no_gamma", t.no_gamma},
-      {"puts", t.puts},
-      {"delta_inserts", t.delta_inserts},
-      {"delta_dups", t.delta_dups},
-      {"gamma_inserts", t.gamma_inserts},
-      {"gamma_dups", t.gamma_dups},
-      {"gamma_retired", t.gamma_retired},
-      {"gamma_passed_through", t.gamma_passed_through},
-      {"fires", t.fires},
-      {"queries", t.queries},
-      {"index_lookups", t.index_lookups},
-      {"full_scans", t.full_scans},
-      {"pk_probes", t.pk_probes},
-      {"range_scans", t.range_scans},
-      {"empty_plans", t.empty_plans},
-      {"index_retired", t.index_retired},
-      {"residual_rows", t.residual_rows},
-      {"residual_hits", t.residual_hits},
-      {"columnar_kernels", t.columnar_kernels},
-      {"columnar_rows", t.columnar_rows},
-      {"columnar_selected", t.columnar_selected},
-      {"morsel_runs", t.morsel_runs},
-      {"morsel_splits", t.morsel_splits},
-      {"retracts", t.retracts},
-      {"gamma_erased", t.gamma_erased},
-      {"retract_debts", t.retract_debts},
-      {"annihilated", t.annihilated},
-      {"upserts", t.upserts},
-      {"upsert_replaced", t.upsert_replaced},
-      {"emit_flushes", t.emit_flushes},
-      {"emit_buffered", t.emit_buffered},
-      {"inline_batches", t.inline_batches},
-      {"rules", std::move(rules)},
   };
+  for (const CounterField& c : kCounterFields) {
+    o.emplace_back(c.name, t.*c.value);
+  }
+  json::Array rules;
+  for (const std::string& r : t.rules) rules.emplace_back(r);
+  o.emplace_back("rules", std::move(rules));
+  return o;
 }
 
 TableLog table_from_json(const json::Value& v) {
@@ -77,37 +50,11 @@ TableLog table_from_json(const json::Value& v) {
   t.store = v.at("store").as_string();
   t.no_delta = v.at("no_delta").as_bool();
   t.no_gamma = v.at("no_gamma").as_bool();
-  t.puts = v.at("puts").as_int();
-  t.delta_inserts = v.at("delta_inserts").as_int();
-  t.delta_dups = v.at("delta_dups").as_int();
-  t.gamma_inserts = v.at("gamma_inserts").as_int();
-  t.gamma_dups = v.at("gamma_dups").as_int();
-  t.gamma_retired = v.at("gamma_retired").as_int();
-  t.gamma_passed_through = v.at("gamma_passed_through").as_int();
-  t.fires = v.at("fires").as_int();
-  t.queries = v.at("queries").as_int();
-  t.index_lookups = v.at("index_lookups").as_int();
-  t.full_scans = v.at("full_scans").as_int();
-  t.pk_probes = v.at("pk_probes").as_int();
-  t.range_scans = v.at("range_scans").as_int();
-  t.empty_plans = v.at("empty_plans").as_int();
-  t.index_retired = v.at("index_retired").as_int();
-  t.residual_rows = v.at("residual_rows").as_int();
-  t.residual_hits = v.at("residual_hits").as_int();
-  t.columnar_kernels = v.at("columnar_kernels").as_int();
-  t.columnar_rows = v.at("columnar_rows").as_int();
-  t.columnar_selected = v.at("columnar_selected").as_int();
-  t.morsel_runs = v.at("morsel_runs").as_int();
-  t.morsel_splits = v.at("morsel_splits").as_int();
-  t.retracts = v.at("retracts").as_int();
-  t.gamma_erased = v.at("gamma_erased").as_int();
-  t.retract_debts = v.at("retract_debts").as_int();
-  t.annihilated = v.at("annihilated").as_int();
-  t.upserts = v.at("upserts").as_int();
-  t.upsert_replaced = v.at("upsert_replaced").as_int();
-  t.emit_flushes = v.at("emit_flushes").as_int();
-  t.emit_buffered = v.at("emit_buffered").as_int();
-  t.inline_batches = v.at("inline_batches").as_int();
+  // A log written before a counter existed has no key for it: the counter
+  // reads 0, so older logs keep loading.
+  for (const CounterField& c : kCounterFields) {
+    if (v.has(c.name)) t.*c.value = v.at(c.name).as_int();
+  }
   for (const json::Value& r : v.at("rules").as_array()) {
     t.rules.push_back(r.as_string());
   }
@@ -125,44 +72,12 @@ RunLog capture(const Engine& engine, const std::string& program,
   log.seconds = report.seconds;
   const auto tables = engine.all_tables();
   for (const TableBase* t : tables) {
-    const TableStats& s = t->stats();
-    TableLog tl;
+    TableLog tl{t->stats().load()};
     tl.name = t->name();
     tl.orderby = orderby_string(*t);
     tl.store = t->store_describe();
     tl.no_delta = t->no_delta();
     tl.no_gamma = t->no_gamma();
-    tl.puts = s.puts.load();
-    tl.delta_inserts = s.delta_inserts.load();
-    tl.delta_dups = s.delta_dups.load();
-    tl.gamma_inserts = s.gamma_inserts.load();
-    tl.gamma_dups = s.gamma_dups.load();
-    tl.gamma_retired = s.gamma_retired.load();
-    tl.gamma_passed_through = s.gamma_passed_through.load();
-    tl.fires = s.fires.load();
-    tl.queries = s.queries.load();
-    tl.index_lookups = s.index_lookups.load();
-    tl.full_scans = s.full_scans.load();
-    tl.pk_probes = s.pk_probes.load();
-    tl.range_scans = s.range_scans.load();
-    tl.empty_plans = s.empty_plans.load();
-    tl.index_retired = s.index_retired.load();
-    tl.residual_rows = s.residual_rows.load();
-    tl.residual_hits = s.residual_hits.load();
-    tl.columnar_kernels = s.columnar_kernels.load();
-    tl.columnar_rows = s.columnar_rows.load();
-    tl.columnar_selected = s.columnar_selected.load();
-    tl.morsel_runs = s.morsel_runs.load();
-    tl.morsel_splits = s.morsel_splits.load();
-    tl.retracts = s.retracts.load();
-    tl.gamma_erased = s.gamma_erased.load();
-    tl.retract_debts = s.retract_debts.load();
-    tl.annihilated = s.annihilated.load();
-    tl.upserts = s.upserts.load();
-    tl.upsert_replaced = s.upsert_replaced.load();
-    tl.emit_flushes = s.emit_flushes.load();
-    tl.emit_buffered = s.emit_buffered.load();
-    tl.inline_batches = s.inline_batches.load();
     tl.rules = t->rule_names();
     log.tables.push_back(std::move(tl));
   }

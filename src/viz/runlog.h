@@ -20,55 +20,17 @@
 
 namespace jstar::viz {
 
-/// One table's usage statistics snapshot.
-struct TableLog {
+/// One table's usage statistics snapshot: its counters (the Counters
+/// base, one JSON key per counter) plus what identifies the table.
+struct TableLog : Counters {
   std::string name;
   std::string orderby;
   /// Which Gamma substrate the engine installed (GammaStore::describe():
   /// "tree-set", "skip-list", "flat-ordered", "striped-hash(64)", ...).
+  /// The SIMD dispatch level of columnar stores rides in it too.
   std::string store;
   bool no_delta = false;
   bool no_gamma = false;
-  std::int64_t puts = 0;
-  std::int64_t delta_inserts = 0;
-  std::int64_t delta_dups = 0;
-  std::int64_t gamma_inserts = 0;
-  std::int64_t gamma_dups = 0;
-  std::int64_t gamma_retired = 0;
-  /// -noGamma throughput: tuples that passed through a NullStore, so such
-  /// tables report traffic instead of a silent size() == 0.
-  std::int64_t gamma_passed_through = 0;
-  std::int64_t fires = 0;
-  std::int64_t queries = 0;
-  std::int64_t index_lookups = 0;
-  std::int64_t full_scans = 0;
-  // Query-planner access paths (core/query_plan.h).
-  std::int64_t pk_probes = 0;
-  std::int64_t range_scans = 0;
-  std::int64_t empty_plans = 0;
-  std::int64_t index_retired = 0;
-  std::int64_t residual_rows = 0;
-  std::int64_t residual_hits = 0;
-  // Columnar kernel pushdown (core/column_store.h).
-  std::int64_t columnar_kernels = 0;
-  std::int64_t columnar_rows = 0;
-  std::int64_t columnar_selected = 0;
-  // Morsel-parallel execution (core/simd.h + ForkJoinPool): how many
-  // scans/kernels split, and into how many morsels in total.  The SIMD
-  // dispatch level itself rides in `store` (GammaStore::describe()).
-  std::int64_t morsel_runs = 0;
-  std::int64_t morsel_splits = 0;
-  // Retractions & upserts (TableDecl::counted(), core/table.h).
-  std::int64_t retracts = 0;
-  std::int64_t gamma_erased = 0;
-  std::int64_t retract_debts = 0;
-  std::int64_t annihilated = 0;
-  std::int64_t upserts = 0;
-  std::int64_t upsert_replaced = 0;
-  // Batch-at-a-time rule firing (emit buffers + adaptive fire phase).
-  std::int64_t emit_flushes = 0;
-  std::int64_t emit_buffered = 0;
-  std::int64_t inline_batches = 0;
   std::vector<std::string> rules;
 
   /// Fraction of tuples a routed plan examined that survived the residual

@@ -3,58 +3,12 @@
 #include <cstdio>
 #include <sstream>
 
+#include "viz/runlog.h"
+
 namespace jstar::viz {
 
-namespace {
-std::string orderby_string(const TableBase& t) {
-  std::string s = "(";
-  bool first = true;
-  for (const auto& level : t.orderby_spec()) {
-    if (!first) s += ", ";
-    first = false;
-    switch (level.kind) {
-      case OrderByLevel::Kind::Lit: s += level.name; break;
-      case OrderByLevel::Kind::Seq: s += "seq " + level.name; break;
-      case OrderByLevel::Kind::Par: s += "par " + level.name; break;
-    }
-  }
-  return s + ")";
-}
-}  // namespace
-
 std::string dot_graph(const Engine& engine, const std::string& title) {
-  std::ostringstream os;
-  os << "digraph \"" << title << "\" {\n"
-     << "  rankdir=LR;\n"
-     << "  node [shape=record, fontsize=10];\n";
-  const auto tables = engine.all_tables();
-  for (const TableBase* t : tables) {
-    const auto& s = t->stats();
-    os << "  t" << t->id() << " [label=\"{" << t->name() << " "
-       << orderby_string(*t) << "|puts=" << s.puts.load()
-       << "\\l\\u0394=" << s.delta_inserts.load()
-       << " dup=" << s.delta_dups.load()
-       << "\\l\\u0393=" << s.gamma_inserts.load()
-       << " dup=" << s.gamma_dups.load()
-       << "\\lfires=" << s.fires.load() << " queries=" << s.queries.load()
-       << "\\l}\"";
-    if (t->no_delta() || t->no_gamma()) {
-      os << ", style=dashed";
-    }
-    os << "];\n";
-  }
-  const EdgeMatrix& edges = engine.edges();
-  for (const TableBase* from : tables) {
-    for (const TableBase* to : tables) {
-      const std::int64_t n = edges.count(from->id(), to->id());
-      if (n > 0) {
-        os << "  t" << from->id() << " -> t" << to->id() << " [label=\"" << n
-           << "\"];\n";
-      }
-    }
-  }
-  os << "}\n";
-  return os.str();
+  return dot_graph(capture(engine, title, {}));
 }
 
 std::string stats_report(const Engine& engine) {

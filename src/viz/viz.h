@@ -14,9 +14,9 @@
 
 namespace jstar::viz {
 
-/// Renders the engine's tables and observed dataflow edges as a DOT graph.
-/// Node labels carry the per-table stats (puts / Δ-inserts / Γ-inserts /
-/// rule fires); edge labels carry put counts.
+/// Renders the engine's tables and observed dataflow edges as a DOT graph:
+/// the run-log renderer (runlog.h) over capture(engine, title, {}), so
+/// node labels carry the per-table counters and edge labels put counts.
 std::string dot_graph(const Engine& engine, const std::string& title);
 
 /// Plain-text statistics table, one row per table.

@@ -147,6 +147,125 @@ TEST(DistReport, EpochsCountNonEmptyDrainsOnlyAsync) {
   EXPECT_GE(r.epochs, 1);
 }
 
+// --- table-counter roll-ups (every counter, both modes) --------------------
+
+struct Mark {
+  std::int64_t vertex;
+  auto operator<=>(const Mark&) const = default;
+};
+
+/// Fans a binary tree of Visits out over the shards (every child hop
+/// crosses the mailbox), marking each visit locally through a rule put and
+/// querying Gamma, so the rule, emit, query and Delta counters all move.
+/// Checks, for every counter in the list:
+///   * query_stats() is the sum over shards and tables,
+///   * each ShardStats carries its shard engine's run deltas: the engine's
+///     counter change minus what mail delivery (outside run()) moved,
+///   * the ShardedRunReport is the sum of its ShardStats.
+void check_counter_rollups(ShardedMode mode, bool sequential) {
+  constexpr int kShards = 3;
+  constexpr std::int64_t kVertices = 300;
+  EngineOptions opts;
+  opts.sequential = sequential;
+  opts.threads = 2;
+  ShardedOptions sopts;
+  sopts.mode = mode;
+  std::vector<Counters> delivered(kShards);
+  ShardedEngine<Visit> cluster(
+      kShards, opts, sopts,
+      [&delivered](int shard, Engine& eng, Sender<Visit>& sender) {
+        auto& visits = eng.table(TableDecl<Visit>("Visit")
+                                     .orderby_lit("V")
+                                     .orderby_seq("vertex", &Visit::vertex)
+                                     .hash([](const Visit& v) {
+                                       return hash_fields(v.vertex);
+                                     }));
+        auto& marks = eng.table(TableDecl<Mark>("Mark")
+                                    .orderby_lit("M")
+                                    .hash([](const Mark& m) {
+                                      return hash_fields(m.vertex);
+                                    }));
+        eng.order({"V", "M"});
+        eng.rule(visits, "visit",
+                 [&visits, &marks, &sender](RuleCtx& ctx, const Visit& v) {
+                   marks.put(ctx, Mark{v.vertex});
+                   EXPECT_EQ(visits.query_count(
+                                 query::eq(&Visit::vertex, v.vertex)),
+                             1);
+                   for (const std::int64_t c : {2 * v.vertex + 1,
+                                                2 * v.vertex + 2}) {
+                     if (c < kVertices) {
+                       sender.send(partition_of(c, kShards), Visit{c});
+                     }
+                   }
+                 });
+        Counters& mine = delivered[static_cast<std::size_t>(shard)];
+        return [&visits, &eng, &mine](const Visit& v) {
+          const Counters before = snapshot(eng.all_tables());
+          eng.put(visits, v);
+          mine += snapshot(eng.all_tables()) - before;
+        };
+      });
+  cluster.seed(partition_of(0, kShards), Visit{0});
+
+  std::vector<Counters> engine_before;
+  for (int s = 0; s < kShards; ++s) {
+    engine_before.push_back(snapshot(cluster.engine(s).all_tables()));
+  }
+  const ClusterQueryStats cluster_before = cluster.query_stats();
+  const ShardedRunReport r = cluster.run();
+  const ClusterQueryStats qs = cluster.query_stats();
+
+  Counters by_table;
+  Counters shard_sum;
+  Counters delivered_sum;
+  for (int s = 0; s < kShards; ++s) {
+    const auto i = static_cast<std::size_t>(s);
+    Counters engine_now;
+    for (const TableBase* t : cluster.engine(s).all_tables()) {
+      for (const CounterField& c : kCounterFields) {
+        engine_now.*c.value += (t->stats().*c.live).load();
+      }
+    }
+    by_table += engine_now;
+    const Counters run_delta = engine_now - engine_before[i] - delivered[i];
+    for (const CounterField& c : kCounterFields) {
+      EXPECT_EQ(r.shard_stats[i].*c.value, run_delta.*c.value)
+          << c.name << " on shard " << s;
+    }
+    shard_sum += r.shard_stats[i];
+    delivered_sum += delivered[i];
+  }
+  const Counters cluster_delta = qs - cluster_before - delivered_sum;
+  for (const CounterField& c : kCounterFields) {
+    EXPECT_EQ(qs.*c.value, by_table.*c.value) << c.name;
+    EXPECT_EQ(r.*c.value, shard_sum.*c.value) << c.name;
+    EXPECT_EQ(r.*c.value, cluster_delta.*c.value) << c.name;
+  }
+  // Not vacuous: the program moved the counters it was built to move.
+  EXPECT_EQ(qs.gamma_inserts, 2 * kVertices);
+  EXPECT_EQ(r.fires, kVertices);  // only Visit has a rule
+  EXPECT_EQ(r.puts, kVertices);  // the rule's Mark puts; mail is outside
+  EXPECT_EQ(r.queries, kVertices);
+  EXPECT_EQ(delivered_sum.puts, kVertices);
+}
+
+TEST(DistReport, CounterRollupsBspSequential) {
+  check_counter_rollups(ShardedMode::Bsp, /*sequential=*/true);
+}
+
+TEST(DistReport, CounterRollupsBspParallel) {
+  check_counter_rollups(ShardedMode::Bsp, /*sequential=*/false);
+}
+
+TEST(DistReport, CounterRollupsAsyncSequential) {
+  check_counter_rollups(ShardedMode::Async, /*sequential=*/true);
+}
+
+TEST(DistReport, CounterRollupsAsyncParallel) {
+  check_counter_rollups(ShardedMode::Async, /*sequential=*/false);
+}
+
 // --- partition_of properties -----------------------------------------------
 
 TEST(PartitionOf, CoversEveryShardAndStaysInRange) {

@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "core/simd.h"
+#include "util/json.h"
 #include "viz/runlog.h"
 
 namespace jstar::viz {
@@ -214,6 +215,168 @@ TEST(RunLog, CapturesColumnarKernelCounters) {
   EXPECT_NE(dot.find("kernels=1"), std::string::npos);
   EXPECT_NE(dot.find("ksel=0.25"), std::string::npos);
   EXPECT_EQ(dot_graph(sample_log()).find("kernels="), std::string::npos);
+}
+
+// --- every counter, driven by the one list (core/stats.h) -----------------
+
+/// A one-table log whose counters all hold distinct non-zero values, so a
+/// counter written under another's key cannot round-trip unnoticed.
+RunLog distinct_counter_log() {
+  RunLog log;
+  log.program = "counters";
+  log.batches = 2;
+  log.tuples = 5;
+  log.seconds = 0.25;
+  TableLog t;
+  t.name = "T";
+  t.orderby = "(A)";
+  t.store = "tree-set";
+  t.rules = {"r"};
+  std::int64_t v = 1;
+  for (const CounterField& c : kCounterFields) t.*c.value = 1000 * v++ + 7;
+  log.tables.push_back(t);
+  return log;
+}
+
+TEST(RunLog, EveryCounterRoundTripsUnderItsOwnKey) {
+  const RunLog log = distinct_counter_log();
+  const std::string text = to_json(log);
+  const json::Value table = json::parse(text).at("tables").as_array().at(0);
+  for (const CounterField& c : kCounterFields) {
+    EXPECT_EQ(table.at(c.name).as_int(), log.tables[0].*c.value) << c.name;
+  }
+  const RunLog back = from_json(text);
+  for (const CounterField& c : kCounterFields) {
+    EXPECT_EQ(back.tables[0].*c.value, log.tables[0].*c.value) << c.name;
+  }
+  EXPECT_EQ(back, log);
+
+  const auto path = std::filesystem::temp_directory_path() /
+                    "jstar_runlog_counters_test.json";
+  save(log, path.string());
+  EXPECT_EQ(load(path.string()), log);
+  std::filesystem::remove(path);
+}
+
+/// A log in the format written before the counters were declared as one
+/// list (every key that format had; it has no pk_conflicts key).
+constexpr const char* kParentFormatLog = R"json({
+  "program": "golden",
+  "batches": 3,
+  "tuples": 9,
+  "seconds": 0.5,
+  "tables": [
+    {
+      "name": "Src",
+      "orderby": "(A, seq id)",
+      "store": "tree-set",
+      "no_delta": false,
+      "no_gamma": true,
+      "puts": 101,
+      "delta_inserts": 102,
+      "delta_dups": 103,
+      "gamma_inserts": 104,
+      "gamma_dups": 105,
+      "gamma_retired": 106,
+      "gamma_passed_through": 107,
+      "fires": 108,
+      "queries": 109,
+      "index_lookups": 110,
+      "full_scans": 111,
+      "pk_probes": 112,
+      "range_scans": 113,
+      "empty_plans": 114,
+      "index_retired": 115,
+      "residual_rows": 116,
+      "residual_hits": 117,
+      "columnar_kernels": 118,
+      "columnar_rows": 119,
+      "columnar_selected": 120,
+      "morsel_runs": 121,
+      "morsel_splits": 122,
+      "retracts": 123,
+      "gamma_erased": 124,
+      "retract_debts": 125,
+      "annihilated": 126,
+      "upserts": 127,
+      "upsert_replaced": 128,
+      "emit_flushes": 129,
+      "emit_buffered": 130,
+      "inline_batches": 131,
+      "rules": [
+        "derive"
+      ]
+    }
+  ],
+  "edges": [
+    {
+      "from": "Src",
+      "to": "Src",
+      "count": 4
+    }
+  ]
+})json";
+
+TEST(RunLog, ParentFormatLogLoads) {
+  const RunLog log = from_json(kParentFormatLog);
+  EXPECT_EQ(log.program, "golden");
+  EXPECT_EQ(log.batches, 3);
+  EXPECT_EQ(log.tuples, 9);
+  EXPECT_DOUBLE_EQ(log.seconds, 0.5);
+  ASSERT_EQ(log.tables.size(), 1u);
+  const TableLog& t = log.tables[0];
+  EXPECT_EQ(t.name, "Src");
+  EXPECT_EQ(t.orderby, "(A, seq id)");
+  EXPECT_EQ(t.store, "tree-set");
+  EXPECT_FALSE(t.no_delta);
+  EXPECT_TRUE(t.no_gamma);
+  EXPECT_EQ(t.rules, std::vector<std::string>{"derive"});
+  const Counters expected{
+      .puts = 101, .delta_inserts = 102, .delta_dups = 103,
+      .gamma_inserts = 104, .gamma_dups = 105, .gamma_retired = 106,
+      .gamma_passed_through = 107, .fires = 108, .queries = 109,
+      .pk_conflicts = 0,  // not in that format: reads 0
+      .index_lookups = 110, .full_scans = 111, .pk_probes = 112,
+      .range_scans = 113, .empty_plans = 114, .index_retired = 115,
+      .residual_rows = 116, .residual_hits = 117, .columnar_kernels = 118,
+      .columnar_rows = 119, .columnar_selected = 120, .morsel_runs = 121,
+      .morsel_splits = 122, .retracts = 123, .gamma_erased = 124,
+      .retract_debts = 125, .annihilated = 126, .upserts = 127,
+      .upsert_replaced = 128, .emit_flushes = 129, .emit_buffered = 130,
+      .inline_batches = 131};
+  for (const CounterField& c : kCounterFields) {
+    EXPECT_EQ(t.*c.value, expected.*c.value) << c.name;
+  }
+  ASSERT_EQ(log.edges.size(), 1u);
+  EXPECT_EQ(log.edges[0].count, 4);
+}
+
+TEST(RunLog, WrittenLogKeepsEveryParentFormatKeyInOrder) {
+  // Re-writing the loaded log keeps every key of the older format, in the
+  // same order and with the same value; pk_conflicts is the one addition.
+  const auto keys = [](const json::Value& table) {
+    std::vector<std::string> out;
+    for (const auto& [k, v] : table.as_object()) {
+      (void)v;
+      out.push_back(k);
+    }
+    return out;
+  };
+  const json::Value old_root = json::parse(kParentFormatLog);
+  const json::Value new_root =
+      json::parse(to_json(from_json(kParentFormatLog)));
+  const json::Value& old_table = old_root.at("tables").as_array().at(0);
+  const json::Value& new_table = new_root.at("tables").as_array().at(0);
+  std::vector<std::string> new_keys = keys(new_table);
+  std::erase(new_keys, "pk_conflicts");
+  EXPECT_EQ(new_keys, keys(old_table));
+  for (const std::string& k : keys(old_table)) {
+    EXPECT_EQ(new_table.at(k), old_table.at(k)) << k;
+  }
+  EXPECT_EQ(new_table.at("pk_conflicts").as_int(), 0);
+  for (const char* k : {"program", "batches", "tuples", "seconds", "edges"}) {
+    EXPECT_EQ(new_root.at(k), old_root.at(k)) << k;
+  }
 }
 
 }  // namespace

@@ -450,5 +450,150 @@ TEST(ShardedStreamingTest, CrossShardDerivationWorksUnderAsyncEpochs) {
   stream.stop();
 }
 
+// --- counter roll-ups (every counter in core/stats.h's list) ----------------
+
+/// The epoch log must sum to the report, counter by counter, and the
+/// report must equal what the tables themselves counted: every engine
+/// access a stream makes falls inside some epoch's before/after window.
+void expect_counter_rollups(const StreamReport& rep,
+                            const std::vector<EpochStats>& epochs,
+                            const Counters& tables) {
+  ASSERT_EQ(rep.epochs, static_cast<std::int64_t>(epochs.size()));
+  Counters sum;
+  std::int64_t ingested = 0, batches = 0, tuples = 0, messages = 0;
+  for (const EpochStats& e : epochs) {
+    sum += e;
+    ingested += e.ingested;
+    batches += e.batches;
+    tuples += e.tuples;
+    messages += e.messages;
+  }
+  for (const CounterField& c : kCounterFields) {
+    EXPECT_EQ(rep.*c.value, sum.*c.value) << c.name;
+    EXPECT_EQ(rep.*c.value, tables.*c.value) << c.name;
+  }
+  EXPECT_EQ(rep.ingested, ingested);
+  EXPECT_EQ(rep.batches, batches);
+  EXPECT_EQ(rep.tuples, tuples);
+  EXPECT_EQ(rep.messages, messages);
+  // retain(2) retired tuples and swept their index entries, and the
+  // epochs account for exactly what the tables retired.
+  EXPECT_GT(sum.gamma_retired, 0);
+  EXPECT_GT(sum.index_retired, 0);
+  EXPECT_EQ(sum.gamma_retired, tables.gamma_retired);
+  EXPECT_EQ(sum.index_retired, tables.index_retired);
+}
+
+TEST(StreamCounters, EpochsSumToReportAndTables) {
+  StreamOptions sopts;
+  sopts.max_epoch_tuples = 4;
+  EngineOptions eopts;
+  eopts.threads = 2;
+  using Stream = StreamingEngine<Event>;
+  Stream stream(sopts, eopts, [](Engine& eng, const Stream::Emit&) {
+    auto& events = eng.table(event_decl().retain(2));
+    events.add_index(&Event::id);
+    auto& echoes = eng.table(TableDecl<Event>("Echo")
+                                 .orderby_lit("F")
+                                 .hash([](const Event& e) {
+                                   return hash_fields(e.id);
+                                 }));
+    eng.order({"E", "F"});
+    eng.rule(events, "echo", [&echoes](RuleCtx& ctx, const Event& e) {
+      echoes.put(ctx, Event{e.id});
+    });
+    return [&events, &eng](const Event& e) { eng.put(events, e); };
+  });
+  for (std::int64_t i = 0; i < 200; ++i) stream.publish(Event{i});
+  (void)stream.drain();
+  stream.stop();
+  const Counters tables = snapshot(stream.engine().all_tables());
+  EXPECT_EQ(tables.fires, 200);
+  expect_counter_rollups(stream.report(), stream.poll_epochs(), tables);
+}
+
+TEST(StreamCounters, EpochLogKeepsEachEntrysCountersAcrossDrops) {
+  StreamOptions sopts;
+  sopts.epoch_log_capacity = 4;
+  EngineOptions eopts;
+  eopts.sequential = true;
+  using Stream = StreamingEngine<Event>;
+  Stream stream(sopts, eopts, [](Engine& eng, const Stream::Emit&) {
+    auto& events = eng.table(event_decl());
+    auto& echoes = eng.table(TableDecl<Event>("Echo")
+                                 .orderby_lit("F")
+                                 .hash([](const Event& e) {
+                                   return hash_fields(e.id);
+                                 }));
+    eng.order({"E", "F"});
+    eng.rule(events, "echo", [&echoes](RuleCtx& ctx, const Event& e) {
+      echoes.put(ctx, Event{e.id});
+    });
+    return [&events, &eng](const Event& e) { eng.put(events, e); };
+  });
+  // Bursts of different sizes, so neighbouring log entries differ.
+  std::int64_t next = 0;
+  for (int burst = 1; burst <= 12; ++burst) {
+    for (int i = 0; i < burst; ++i) stream.publish(Event{next++});
+    (void)stream.drain();
+  }
+  stream.stop();
+  const StreamReport rep = stream.report();
+  const std::vector<EpochStats> log = stream.poll_epochs();
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(rep.epoch_log_dropped, rep.epochs - 4);
+  EXPECT_EQ(log.back().epoch, stream.engine().epoch());
+  for (const EpochStats& e : log) {
+    // One initial put and one rule put per ingested event, both stored.
+    EXPECT_EQ(e.puts, 2 * e.ingested) << "epoch " << e.epoch;
+    EXPECT_EQ(e.gamma_inserts, 2 * e.ingested) << "epoch " << e.epoch;
+    EXPECT_EQ(e.fires, e.ingested) << "epoch " << e.epoch;
+    EXPECT_EQ(e.gamma_retired, 0) << "epoch " << e.epoch;
+  }
+}
+
+void check_sharded_stream_counters(dist::ShardedMode mode) {
+  StreamOptions sopts;
+  sopts.max_epoch_tuples = 8;
+  EngineOptions eopts;
+  eopts.threads = 2;
+  dist::ShardedOptions dopts;
+  dopts.mode = mode;
+  using Stream = ShardedStreamingEngine<Event>;
+  constexpr int kShards = 3;
+  Stream stream(
+      sopts, kShards, eopts, dopts,
+      [](int /*shard*/, Engine& eng, dist::Sender<Event>& sender,
+         const Stream::Emit&) {
+        auto& events = eng.table(event_decl().retain(2));
+        events.add_index(&Event::id);
+        // Every ingested event hops once to the shard owning id + 1000.
+        eng.rule(events, "hop", [&sender](RuleCtx&, const Event& e) {
+          if (e.id < 1000) {
+            sender.send(dist::partition_of(e.id + 1000, kShards),
+                        Event{e.id + 1000});
+          }
+        });
+        return [&events, &eng](const Event& e) { eng.put(events, e); };
+      },
+      [](const Event& e) { return dist::partition_of(e.id, kShards); });
+  for (std::int64_t i = 0; i < 200; ++i) stream.publish(Event{i});
+  (void)stream.drain();
+  stream.stop();
+  const Counters tables = stream.cluster().query_stats();
+  EXPECT_EQ(tables.fires, 400);
+  const StreamReport rep = stream.report();
+  EXPECT_GT(rep.messages, 0);
+  expect_counter_rollups(rep, stream.poll_epochs(), tables);
+}
+
+TEST(StreamCounters, ShardedEpochsSumToReportAndTablesBsp) {
+  check_sharded_stream_counters(dist::ShardedMode::Bsp);
+}
+
+TEST(StreamCounters, ShardedEpochsSumToReportAndTablesAsync) {
+  check_sharded_stream_counters(dist::ShardedMode::Async);
+}
+
 }  // namespace
 }  // namespace jstar::stream
