@@ -59,11 +59,12 @@ class CausalityViolation : public std::logic_error {
 };
 
 /// Records the dynamic table→table dataflow (which tables each trigger's
-/// rules put into), feeding the viz module's Fig-7-style graphs.
+/// rules put into), feeding the viz module's Fig-7-style graphs.  Every
+/// put records, so the entries are sharded like the table counters.
 class EdgeMatrix {
  public:
   void resize(std::size_t tables) {
-    counts_ = std::vector<std::atomic<std::int64_t>>(tables * tables);
+    counts_ = std::vector<ShardedCounter>(tables * tables);
     n_ = tables;
   }
   void record(int from, int to) {
@@ -80,7 +81,7 @@ class EdgeMatrix {
   std::size_t tables() const { return n_; }
 
  private:
-  std::vector<std::atomic<std::int64_t>> counts_;
+  std::vector<ShardedCounter> counts_;
   std::size_t n_ = 0;
 };
 
@@ -1530,7 +1531,11 @@ class Table final : public TableBase {
       // and reaches the tree in one bulk append at flush_emits().
       EmitBuffer& buf = local_emit_buffer();
       buf.recs.push_back(EmitRecord{std::move(k), t, sign});
-      emit_dirty_.store(true, std::memory_order_relaxed);
+      // Store only on the first buffered put: the line then stays shared
+      // instead of bouncing between the workers on every put.
+      if (!emit_dirty_.load(std::memory_order_relaxed)) {
+        emit_dirty_.store(true, std::memory_order_relaxed);
+      }
       stats_.emit_buffered.fetch_add(1, std::memory_order_relaxed);
     } else {
       enqueue_delta(k, t, sign);

@@ -267,5 +267,103 @@ TEST(EmitMechanics, StragglerBufferFlushedAtNextRun) {
   EXPECT_EQ(ev.gamma_size(), 2u);
 }
 
+// --- counter totals ---------------------------------------------------------
+
+// The table counters and the dataflow edge matrix are sharded per thread
+// and summed on read, so a parallel run must count exactly what the
+// sequential build counts.  The program is the fanout shape (strata of
+// causality classes, every fired tuple putting 8 colliding tuples into the
+// next stratum) plus a sink table fed by the last stratum, so two
+// edge-matrix entries move.
+TEST(EmitCounters, ParallelTotalsEqualSequential) {
+  struct Tok {
+    std::int64_t level, g, i;
+    auto operator<=>(const Tok&) const = default;
+  };
+  struct Sink {
+    std::int64_t g, i;
+    auto operator<=>(const Sink&) const = default;
+  };
+  constexpr std::int64_t kLevels = 5;
+  constexpr std::int64_t kGroups = 32;
+  constexpr std::int64_t kPerGroup = 64;
+  constexpr std::int64_t kFanout = 8;
+
+  struct Totals {
+    Counters tok, sink;
+    std::vector<std::int64_t> edges;  // row-major count(from, to)
+  };
+  const auto run = [&](const EngineOptions& opts) {
+    Engine eng(opts);
+    auto& tok = eng.table(TableDecl<Tok>("Tok")
+                              .orderby_lit("T")
+                              .orderby_seq("level", &Tok::level)
+                              .orderby_seq("g", &Tok::g)
+                              .orderby_par("i")
+                              .hash([](const Tok& t) {
+                                return hash_fields(t.level, t.g, t.i);
+                              }));
+    auto& sink = eng.table(TableDecl<Sink>("Sink")
+                               .orderby_lit("S")
+                               .hash([](const Sink& s) {
+                                 return hash_fields(s.g, s.i);
+                               }));
+    eng.order({"T", "S"});
+    eng.rule(tok, "derive", [&](RuleCtx& ctx, const Tok& t) {
+      if (t.level + 1 >= kLevels) {
+        sink.put(ctx, Sink{t.g, t.i % 16});
+        return;
+      }
+      const std::int64_t g2 = (t.g * 31 + 1) % kGroups;
+      for (std::int64_t f = 0; f < kFanout; ++f) {
+        tok.put(ctx, Tok{t.level + 1, g2,
+                         (t.i * 2654435761LL + f * 7 + 1) % kPerGroup});
+      }
+    });
+    for (std::int64_t g = 0; g < kGroups; ++g) {
+      for (std::int64_t i = 0; i < kPerGroup; i += 2) {
+        eng.put(tok, Tok{0, g, i});
+      }
+    }
+    eng.run();
+    Totals out{tok.stats().load(), sink.stats().load(), {}};
+    const std::size_t n = eng.edges().tables();
+    for (std::size_t from = 0; from < n; ++from) {
+      for (std::size_t to = 0; to < n; ++to) {
+        out.edges.push_back(eng.edges().count(static_cast<int>(from),
+                                              static_cast<int>(to)));
+      }
+    }
+    return out;
+  };
+
+  EngineOptions seq_opts;
+  seq_opts.sequential = true;
+  EngineOptions par_opts;
+  par_opts.sequential = false;
+  par_opts.threads = 4;
+  const Totals seq = run(seq_opts);
+  const Totals par = run(par_opts);
+
+  EXPECT_GT(seq.tok.puts, kGroups * kPerGroup);
+  EXPECT_GT(seq.sink.gamma_inserts, 0);
+  const auto expect_same = [](const Counters& s, const Counters& p,
+                              const char* table) {
+    EXPECT_EQ(p.puts, s.puts) << table;
+    EXPECT_EQ(p.fires, s.fires) << table;
+    EXPECT_EQ(p.emit_buffered, s.emit_buffered) << table;
+    EXPECT_EQ(p.gamma_inserts, s.gamma_inserts) << table;
+    EXPECT_EQ(p.delta_inserts + p.delta_dups, s.delta_inserts + s.delta_dups)
+        << table;
+  };
+  expect_same(seq.tok, par.tok, "Tok");
+  expect_same(seq.sink, par.sink, "Sink");
+  ASSERT_EQ(seq.edges.size(), 4u);
+  EXPECT_EQ(par.edges, seq.edges);
+  // Ids follow registration order: Tok is table 0, Sink table 1.
+  EXPECT_GT(seq.edges[0], 0);  // Tok -> Tok
+  EXPECT_GT(seq.edges[1], 0);  // Tok -> Sink
+}
+
 }  // namespace
 }  // namespace jstar::difftest
