@@ -8,6 +8,10 @@
 //   * fine-grained (per-predecessor) locking on insert and erase,
 //   * logical deletion via a `marked` flag, then physical unlinking.
 //
+// Node layout: each node is one allocation holding the node and its
+// `top_level + 1` forward pointers, and locks with a one-byte
+// test-and-test-and-set flag, so a search hop touches one block.
+//
 // Memory reclamation: Java relies on GC; here erased nodes are *retired* to
 // a list and physically freed only by collect_garbage() / the destructor.
 // The JStar engine calls collect_garbage() only between Delta batches, when
@@ -20,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -33,18 +38,18 @@ class SkipListMap {
  public:
   static constexpr int kMaxLevel = 24;
 
-  SkipListMap() : head_(new Node(K{}, kMaxLevel - 1)) {
+  SkipListMap() : head_(make_node(K{}, V{}, kMaxLevel - 1)) {
     head_->fully_linked.store(true, std::memory_order_release);
   }
 
   ~SkipListMap() {
     Node* n = head_;
     while (n != nullptr) {
-      Node* next = n->next[0].load(std::memory_order_relaxed);
-      delete n;
+      Node* next = n->next(0).load(std::memory_order_relaxed);
+      destroy_node(n);
       n = next;
     }
-    for (Node* r : retired_) delete r;
+    for (Node* r : retired_) destroy_node(r);
   }
 
   SkipListMap(const SkipListMap&) = delete;
@@ -73,27 +78,26 @@ class SkipListMap {
         continue;
       }
       // Lock the predecessors bottom-up and validate.
-      std::unique_lock<std::mutex> locks[kMaxLevel];
+      std::unique_lock<NodeLock> locks[kMaxLevel];
       Node* last_locked = nullptr;
       bool valid = true;
       for (int level = 0; valid && level <= top; ++level) {
         Node* pred = preds[level];
         if (pred != last_locked) {
-          locks[level] = std::unique_lock<std::mutex>(pred->lock);
+          locks[level] = std::unique_lock<NodeLock>(pred->lock);
           last_locked = pred;
         }
         valid = !pred->marked.load(std::memory_order_acquire) &&
-                pred->next[level].load(std::memory_order_acquire) ==
+                pred->next(level).load(std::memory_order_acquire) ==
                     succs[level];
       }
       if (!valid) continue;
-      Node* node = new Node(key, top);
-      node->value = make();
+      Node* node = make_node(key, make(), top);
       for (int level = 0; level <= top; ++level) {
-        node->next[level].store(succs[level], std::memory_order_relaxed);
+        node->next(level).store(succs[level], std::memory_order_relaxed);
       }
       for (int level = 0; level <= top; ++level) {
-        preds[level]->next[level].store(node, std::memory_order_release);
+        preds[level]->next(level).store(node, std::memory_order_release);
       }
       node->fully_linked.store(true, std::memory_order_release);
       size_.fetch_add(1, std::memory_order_relaxed);
@@ -161,22 +165,22 @@ class SkipListMap {
           victim->marked.store(true, std::memory_order_release);
           is_marked = true;
         }
-        std::unique_lock<std::mutex> locks[kMaxLevel];
+        std::unique_lock<NodeLock> locks[kMaxLevel];
         Node* last_locked = nullptr;
         bool valid = true;
         for (int level = 0; valid && level <= top; ++level) {
           Node* pred = preds[level];
           if (pred != last_locked) {
-            locks[level] = std::unique_lock<std::mutex>(pred->lock);
+            locks[level] = std::unique_lock<NodeLock>(pred->lock);
             last_locked = pred;
           }
           valid = !pred->marked.load(std::memory_order_acquire) &&
-                  pred->next[level].load(std::memory_order_acquire) == victim;
+                  pred->next(level).load(std::memory_order_acquire) == victim;
         }
         if (!valid) continue;
         for (int level = top; level >= 0; --level) {
-          preds[level]->next[level].store(
-              victim->next[level].load(std::memory_order_acquire),
+          preds[level]->next(level).store(
+              victim->next(level).load(std::memory_order_acquire),
               std::memory_order_release);
         }
         victim->lock.unlock();
@@ -192,22 +196,23 @@ class SkipListMap {
   /// The caller must guarantee no concurrent operations (the engine calls
   /// this from the single coordinator between parallel batches).
   bool pop_min(K& key_out, V& value_out) {
-    Node* first = head_->next[0].load(std::memory_order_acquire);
+    Node* first = head_->next(0).load(std::memory_order_acquire);
     if (first == nullptr) return false;
     for (int level = 0; level <= first->top_level; ++level) {
-      head_->next[level].store(first->next[level].load(std::memory_order_relaxed),
-                               std::memory_order_relaxed);
+      head_->next(level).store(
+          first->next(level).load(std::memory_order_relaxed),
+          std::memory_order_relaxed);
     }
     key_out = first->key;
     value_out = std::move(first->value);
-    delete first;
+    destroy_node(first);
     size_.fetch_sub(1, std::memory_order_relaxed);
     return true;
   }
 
   /// EXCLUSIVE-PHASE ONLY.  Peek at the minimum key.
   const K* peek_min() const {
-    Node* first = head_->next[0].load(std::memory_order_acquire);
+    Node* first = head_->next(0).load(std::memory_order_acquire);
     return first == nullptr ? nullptr : &first->key;
   }
 
@@ -215,8 +220,8 @@ class SkipListMap {
   /// inserts; entries inserted during traversal may or may not be seen.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (Node* n = head_->next[0].load(std::memory_order_acquire); n != nullptr;
-         n = n->next[0].load(std::memory_order_acquire)) {
+    for (Node* n = head_->next(0).load(std::memory_order_acquire); n != nullptr;
+         n = n->next(0).load(std::memory_order_acquire)) {
       if (n->fully_linked.load(std::memory_order_acquire) &&
           !n->marked.load(std::memory_order_acquire)) {
         fn(n->key, n->value);
@@ -231,7 +236,7 @@ class SkipListMap {
     Node* succs[kMaxLevel];
     find(lo, preds, succs);
     for (Node* n = succs[0]; n != nullptr && less_(n->key, hi);
-         n = n->next[0].load(std::memory_order_acquire)) {
+         n = n->next(0).load(std::memory_order_acquire)) {
       if (n->fully_linked.load(std::memory_order_acquire) &&
           !n->marked.load(std::memory_order_acquire)) {
         fn(n->key, n->value);
@@ -247,7 +252,7 @@ class SkipListMap {
     Node* succs[kMaxLevel];
     find(lo, preds, succs);
     for (Node* n = succs[0]; n != nullptr;
-         n = n->next[0].load(std::memory_order_acquire)) {
+         n = n->next(0).load(std::memory_order_acquire)) {
       if (n->fully_linked.load(std::memory_order_acquire) &&
           !n->marked.load(std::memory_order_acquire)) {
         fn(n->key, n->value);
@@ -261,28 +266,93 @@ class SkipListMap {
   }
 
   bool empty() const {
-    return head_->next[0].load(std::memory_order_acquire) == nullptr;
+    return head_->next(0).load(std::memory_order_acquire) == nullptr;
   }
 
   /// EXCLUSIVE-PHASE ONLY.  Frees retired (erased) nodes.
   void collect_garbage() {
     std::lock_guard<std::mutex> lk(retired_mu_);
-    for (Node* r : retired_) delete r;
+    for (Node* r : retired_) destroy_node(r);
     retired_.clear();
   }
 
+  /// Erased nodes not yet freed by collect_garbage().
+  std::size_t retired() const {
+    std::lock_guard<std::mutex> lk(retired_mu_);
+    return retired_.size();
+  }
+
  private:
+  /// A one-byte test-and-test-and-set lock: node locks are held for a
+  /// few stores, so a waiter spins on a shared read and yields.
+  class NodeLock {
+   public:
+    void lock() noexcept {
+      while (held_.exchange(true, std::memory_order_acquire)) {
+        while (held_.load(std::memory_order_relaxed)) std::this_thread::yield();
+      }
+    }
+    void unlock() noexcept { held_.store(false, std::memory_order_release); }
+
+   private:
+    std::atomic<bool> held_{false};
+  };
+
+  struct Node;
+  using Link = std::atomic<Node*>;
+
+  /// The tower of `top_level + 1` links lives in the same block, right
+  /// after the node (see make_node).
   struct Node {
-    Node(const K& k, int top)
-        : key(k), top_level(top), next(static_cast<std::size_t>(top + 1)) {}
+    Node(const K& k, V v, int top)
+        : key(k), value(std::move(v)), top_level(top) {}
     K key;
-    V value{};
+    V value;
     const int top_level;
     std::atomic<bool> marked{false};
     std::atomic<bool> fully_linked{false};
-    std::mutex lock;
-    std::vector<std::atomic<Node*>> next;
+    NodeLock lock;
+
+    Link& next(int level) {
+      return *std::launder(reinterpret_cast<Link*>(
+          reinterpret_cast<unsigned char*>(this) + kTowerOffset +
+          static_cast<std::size_t>(level) * sizeof(Link)));
+    }
   };
+
+  static constexpr std::size_t kTowerOffset =
+      (sizeof(Node) + alignof(Link) - 1) / alignof(Link) * alignof(Link);
+  static constexpr std::align_val_t kNodeAlign{
+      alignof(Node) > alignof(Link) ? alignof(Node) : alignof(Link)};
+
+  static std::size_t node_bytes(int top) {
+    return kTowerOffset + static_cast<std::size_t>(top + 1) * sizeof(Link);
+  }
+
+  /// One allocation per node: the node, then its tower of null links.
+  static Node* make_node(const K& key, V value, int top) {
+    void* mem = ::operator new(node_bytes(top), kNodeAlign);
+    Node* n;
+    try {
+      n = ::new (mem) Node(key, std::move(value), top);
+    } catch (...) {
+      ::operator delete(mem, node_bytes(top), kNodeAlign);
+      throw;
+    }
+    unsigned char* tower = static_cast<unsigned char*>(mem) + kTowerOffset;
+    for (int level = 0; level <= top; ++level) {
+      ::new (tower + static_cast<std::size_t>(level) * sizeof(Link))
+          Link(nullptr);
+    }
+    return n;
+  }
+
+  static void destroy_node(Node* n) {
+    const int top = n->top_level;
+    for (int level = 0; level <= top; ++level) n->next(level).~Link();
+    n->~Node();
+    ::operator delete(n, node_bytes(top), kNodeAlign);
+  }
 
   bool equal(const K& a, const K& b) const {
     return !less_(a, b) && !less_(b, a);
@@ -294,10 +364,10 @@ class SkipListMap {
     int found = -1;
     Node* pred = head_;
     for (int level = kMaxLevel - 1; level >= 0; --level) {
-      Node* curr = pred->next[level].load(std::memory_order_acquire);
+      Node* curr = pred->next(level).load(std::memory_order_acquire);
       while (curr != nullptr && less_(curr->key, key)) {
         pred = curr;
-        curr = pred->next[level].load(std::memory_order_acquire);
+        curr = pred->next(level).load(std::memory_order_acquire);
       }
       if (found == -1 && curr != nullptr && equal(curr->key, key)) {
         found = level;

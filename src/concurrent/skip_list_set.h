@@ -44,6 +44,7 @@ class SkipListSet {
   std::size_t size() const { return map_.size(); }
   bool empty() const { return map_.empty(); }
   void collect_garbage() { map_.collect_garbage(); }
+  std::size_t retired() const { return map_.retired(); }
 
  private:
   struct Unit {};

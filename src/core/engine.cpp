@@ -120,13 +120,15 @@ RunReport Engine::run() {
   const Counters before = snapshot(tables_);
   DeltaKey key;
   std::unique_ptr<BatchNode> node;
-  int since_gc = 0;
   while (delta_->pop_min(key, node)) {
     process_batch(key, *node, report);
     node.reset();
-    if (!opts_.sequential && ++since_gc >= opts_.gc_interval_batches) {
+    // The fire phase has joined, so no task of this engine holds a
+    // Delta or Gamma node: both may free what they retired.
+    if (!opts_.sequential && ++since_gc_ >= opts_.gc_interval_batches) {
       delta_->collect_garbage();
-      since_gc = 0;
+      for (auto& t : tables_) t->collect_garbage();
+      since_gc_ = 0;
     }
   }
   report += snapshot(tables_) - before;

@@ -49,7 +49,9 @@ struct EngineOptions {
   std::set<std::string> no_delta;
   /// -noGamma T: tuples of these tables are never stored (§5.1).
   std::set<std::string> no_gamma;
-  /// Reclaim Delta-tree garbage every N batches (parallel mode only).
+  /// Reclaim Delta-tree and Gamma garbage every N batches (parallel mode
+  /// only).  The count carries over from one run() to the next, so an
+  /// engine driven in short runs (streaming epochs) still reclaims.
   int gc_interval_batches = 64;
   /// §5.2 "additional parallelism": spawn one fork/join task per
   /// (tuple, rule) pair instead of one task per tuple.  The paper's
@@ -223,6 +225,7 @@ class Engine {
   std::unique_ptr<sched::ForkJoinPool> pool_;        // owned (private) pool
   sched::ForkJoinPool* external_pool_ = nullptr;     // shared pool, not owned
   bool prepared_ = false;
+  int since_gc_ = 0;                                 // batches since last GC
   std::atomic<std::int64_t> epoch_{0};               // streaming epoch clock
 };
 

@@ -168,6 +168,10 @@ class GammaStore : public GammaStoreBase {
   /// True when erase() actually removes tuples (NullStore and custom
   /// insert-only stores say false).
   virtual bool erasable() const { return false; }
+  /// EXCLUSIVE PHASE.  Frees memory that erase() retired instead of
+  /// freeing (a lock-free reader may still hold it).  The engine calls
+  /// this between batches, on the Delta tree's GC schedule.
+  virtual void collect_garbage() {}
 };
 
 /// Sequential ordered store — the Java TreeSet default.
@@ -220,6 +224,9 @@ class SkipListStore final : public GammaStore<T> {
   bool ordered() const override { return true; }
   bool erase(const T& t) override { return set_.erase(t); }
   bool erasable() const override { return true; }
+  void collect_garbage() override { set_.collect_garbage(); }
+  /// Erased nodes awaiting collect_garbage().
+  std::size_t retired() const { return set_.retired(); }
   std::size_t size() const override { return set_.size(); }
   std::string describe() const override { return "skip-list"; }
 

@@ -419,6 +419,10 @@ class TableBase {
     (void)current_epoch;
   }
 
+  /// COORDINATOR-ONLY, between batches: frees the Gamma memory erase()
+  /// retired (GammaStore::collect_garbage).
+  virtual void collect_garbage() {}
+
   /// COORDINATOR-ONLY, between batches (after the fire-phase join).
   /// Drains every emit buffer rules filled during the batch into the
   /// Delta tree as bulk appends.  No-op for tables without buffered
@@ -1096,6 +1100,10 @@ class Table final : public TableBase {
     stats_.gamma_retired.fetch_add(retired, std::memory_order_relaxed);
   }
 
+  void collect_garbage() override {
+    if (store_ != nullptr) store_->collect_garbage();
+  }
+
   void batch_insert_phase(BatchVecBase& slice,
                           std::vector<std::uint8_t>& keep) override {
     auto& bv = static_cast<BatchVec&>(slice);
@@ -1217,7 +1225,7 @@ class Table final : public TableBase {
       std::lock_guard<std::mutex> lk(emit_mu_);
       bufs.reserve(emit_buffers_.size());
       for (const auto& b : emit_buffers_) {
-        if (!b->recs.empty()) bufs.push_back(b.get());
+        if (!b->runs.empty()) bufs.push_back(b.get());
       }
     }
     if (bufs.empty()) return;
@@ -1226,55 +1234,42 @@ class Table final : public TableBase {
                 return a->slot != b->slot ? a->slot < b->slot
                                           : a->seq < b->seq;
               });
-    // Index the records in place (one pointer each — the records
-    // themselves stay in their buffers until the bulk append below has
-    // consumed them; copying them out here would cost more than the
-    // direct path's per-put tree probe saved).
-    flush_ptrs_.clear();
-    std::size_t total = 0;
-    for (const EmitBuffer* b : bufs) total += b->recs.size();
-    flush_ptrs_.reserve(total);
-    // Group records by key in first-appearance order.  Grouping, not
-    // sorting: O(n) against O(n log n), and within-key order stays the
-    // gather order (sequential-mode exactness again).  Rule batches emit
-    // long runs of one causality key (a stratum derives into the next),
-    // so the previous record's group is memoized and the ordered map is
-    // only probed on key transitions.
+    // Group runs by key in first-appearance order.  Grouping, not
+    // sorting: within a key the runs keep the gather order
+    // (sequential-mode exactness again).  A run already covers every
+    // consecutive put with its key, so the ordered map is probed once per
+    // run, not once per put.
     flush_groups_.clear();
-    flush_next_.assign(total, -1);
+    flush_keys_.clear();
+    flush_spans_.clear();
     std::map<DeltaKey, std::size_t, DeltaKeyLess> group_of;
-    std::size_t last_group = 0;
-    const DeltaKey* last_key = nullptr;
-    for (EmitBuffer* b : bufs) {
-      for (const EmitRecord& r : b->recs) {
-        const auto ii = static_cast<std::ptrdiff_t>(flush_ptrs_.size());
-        flush_ptrs_.push_back(&r);
-        if (last_key == nullptr || !(*last_key == r.key)) {
-          const auto [it, fresh] =
-              group_of.try_emplace(r.key, flush_groups_.size());
-          if (fresh) flush_groups_.push_back(EmitGroup{ii, -1, 0});
-          last_group = it->second;
-          last_key = &r.key;
+    for (const EmitBuffer* b : bufs) {
+      for (const EmitRun& r : b->runs) {
+        const auto [it, fresh] =
+            group_of.try_emplace(r.key, flush_groups_.size());
+        if (fresh) {
+          flush_groups_.push_back(EmitGroup{-1, -1, 0});
+          flush_keys_.push_back(r.key);
         }
-        EmitGroup& g = flush_groups_[last_group];
-        if (g.count > 0) {
-          flush_next_[static_cast<std::size_t>(g.tail)] = ii;
+        EmitGroup& g = flush_groups_[it->second];
+        const auto si = static_cast<std::ptrdiff_t>(flush_spans_.size());
+        flush_spans_.push_back(EmitSpan{b->tuples.data() + r.begin,
+                                        b->signs.data() + r.begin,
+                                        r.end - r.begin, -1});
+        if (g.tail >= 0) {
+          flush_spans_[static_cast<std::size_t>(g.tail)].next = si;
+        } else {
+          g.head = si;
         }
-        g.tail = ii;
-        ++g.count;
+        g.tail = si;
+        g.count += r.end - r.begin;
       }
     }
     // One bulk append per distinct key: the tree resolves every node in
     // one call (the striped backend locks each touched stripe once), and
     // flush_visit locks each BatchNode once, reserves its slice once,
-    // and funnels the group's records through append_one — one lock and
-    // one dedup-set rehash per flush instead of one per tuple.
-    flush_keys_.clear();
-    flush_keys_.reserve(flush_groups_.size());
-    for (const EmitGroup& g : flush_groups_) {
-      flush_keys_.push_back(
-          flush_ptrs_[static_cast<std::size_t>(g.head)]->key);
-    }
+    // and funnels the group's spans through append_one — one lock and
+    // one dedup-index reservation per flush instead of one per tuple.
     env_.delta->get_or_insert_batch(
         flush_keys_.data(), flush_keys_.size(),
         [](void* self, std::size_t gi, BatchNode& node) {
@@ -1282,8 +1277,8 @@ class Table final : public TableBase {
         },
         this);
     stats_.emit_flushes.fetch_add(1, std::memory_order_relaxed);
-    flush_ptrs_.clear();
-    for (EmitBuffer* b : bufs) b->recs.clear();  // keeps capacity
+    flush_spans_.clear();
+    for (EmitBuffer* b : bufs) b->clear();  // keeps capacity
   }
 
  private:
@@ -1300,8 +1295,6 @@ class Table final : public TableBase {
   };
 
   struct BatchVec final : public BatchVecBase {
-    explicit BatchVec(const Table* table)
-        : seen(8, HashAdapter{table}) {}
     std::vector<T> items;
     // Net signed multiplicity per item (parallel to items).  Counted
     // tables accumulate the +1/-1 deltas of one tuple into a single
@@ -1312,33 +1305,63 @@ class Table final : public TableBase {
     // the tuple upsert i displaced, for phase B's retraction cascade.
     std::vector<std::int32_t> sign;
     std::vector<T> displaced;
-    std::unordered_map<T, std::size_t, HashAdapter> seen;  // tuple -> index
+    // Dedup index over items: open addressing with linear probing, a
+    // power-of-two capacity at load <= 1/2, each slot holding an item
+    // index + 1 (0 = empty).  Hashed with the table's .hash.
+    std::vector<std::uint32_t> index;
     std::size_t count() const override { return items.size(); }
   };
 
   // --- batch-at-a-time emission ------------------------------------------
 
-  /// One buffered rule put: everything enqueue_delta needs, captured at
-  /// put time (the causality check already ran).
-  struct EmitRecord {
+  /// Consecutive buffered puts with one DeltaKey: tuples and signs
+  /// [begin, end) of their buffer.
+  struct EmitRun {
     DeltaKey key;
-    T tuple;
-    std::int32_t sign;
+    std::size_t begin;
+    std::size_t end;
   };
 
-  /// A per-(thread, table) append-only buffer.  `slot` is the emitting
-  /// thread's worker index at registration (-1 for non-workers) and
-  /// `seq` its registration order — together the deterministic flush
+  /// A per-(thread, table) append-only buffer of rule puts, captured at
+  /// put time (the causality check already ran): one key per run of
+  /// equal keys, tuples and signs stored contiguously.  `slot` is the
+  /// emitting thread's worker index at registration (-1 for non-workers)
+  /// and `seq` its registration order — together the deterministic flush
   /// order.
   struct EmitBuffer {
     int slot = -1;
     std::uint64_t seq = 0;
-    std::vector<EmitRecord> recs;
+    std::vector<EmitRun> runs;
+    std::vector<T> tuples;
+    std::vector<std::int32_t> signs;
+
+    void push(DeltaKey&& key, const T& t, std::int32_t sign) {
+      if (runs.empty() || !(runs.back().key == key)) {
+        runs.push_back(EmitRun{std::move(key), tuples.size(), tuples.size()});
+      }
+      tuples.push_back(t);
+      signs.push_back(sign);
+      ++runs.back().end;
+    }
+    void clear() {
+      runs.clear();
+      tuples.clear();
+      signs.clear();
+    }
   };
 
-  /// One distinct DeltaKey's slice of a flush: a chain (head/tail into
-  /// flush_next_, indices into flush_ptrs_) over the in-place records, in
-  /// first-appearance order.  The key itself lives in the head record.
+  /// One run's tuples during a flush, chained (`next`, an index into
+  /// flush_spans_) to the next run of its group.
+  struct EmitSpan {
+    const T* tuples;
+    const std::int32_t* signs;
+    std::size_t n;
+    std::ptrdiff_t next;
+  };
+
+  /// One distinct DeltaKey's slice of a flush: a chain (head/tail, indices
+  /// into flush_spans_) over its runs in gather order, and its tuple
+  /// count.  The key itself is flush_keys_[group].
   struct EmitGroup {
     std::ptrdiff_t head;
     std::ptrdiff_t tail;
@@ -1385,11 +1408,13 @@ class Table final : public TableBase {
     BatchVec& bv = slice_of(node);
     bv.items.reserve(bv.items.size() + g.count);
     bv.sign.reserve(bv.sign.size() + g.count);
-    bv.seen.reserve(bv.seen.size() + g.count);
+    reserve_index(bv, bv.items.size() + g.count);
     for (std::ptrdiff_t i = g.head; i >= 0;
-         i = flush_next_[static_cast<std::size_t>(i)]) {
-      const EmitRecord& r = *flush_ptrs_[static_cast<std::size_t>(i)];
-      append_one(bv, r.tuple, r.sign);
+         i = flush_spans_[static_cast<std::size_t>(i)].next) {
+      const EmitSpan& sp = flush_spans_[static_cast<std::size_t>(i)];
+      for (std::size_t k = 0; k < sp.n; ++k) {
+        append_one(bv, sp.tuples[k], sp.signs[k]);
+      }
     }
   }
 
@@ -1527,10 +1552,9 @@ class Table final : public TableBase {
     } else if (emit_enabled_) {
       // Batch-at-a-time emission: the causality check above ran eagerly
       // (same throw point as the direct path), but the Delta tree is not
-      // touched here — the record lands in this thread's private buffer
+      // touched here — the put lands in this thread's private buffer
       // and reaches the tree in one bulk append at flush_emits().
-      EmitBuffer& buf = local_emit_buffer();
-      buf.recs.push_back(EmitRecord{std::move(k), t, sign});
+      local_emit_buffer().push(std::move(k), t, sign);
       // Store only on the first buffered put: the line then stays shared
       // instead of bouncing between the workers on every put.
       if (!emit_dirty_.load(std::memory_order_relaxed)) {
@@ -1564,7 +1588,7 @@ class Table final : public TableBase {
       node.per_table.resize(static_cast<std::size_t>(id_) + 1);
     }
     auto& slot = node.per_table[static_cast<std::size_t>(id_)];
-    if (!slot) slot = std::make_unique<BatchVec>(this);
+    if (!slot) slot = std::make_unique<BatchVec>();
     return static_cast<BatchVec&>(*slot);
   }
 
@@ -1575,14 +1599,18 @@ class Table final : public TableBase {
   /// the emit flush both land here, which is what makes them
   /// bit-identical.
   void append_one(BatchVec& bv, const T& t, std::int32_t sign) {
-    const auto [it, fresh] = bv.seen.emplace(t, bv.items.size());
-    if (fresh) {
+    reserve_index(bv, bv.items.size() + 1);
+    std::uint32_t& slot = index_slot(bv, t);
+    if (slot == 0) {
+      JSTAR_CHECK_MSG(bv.items.size() < UINT32_MAX,
+                      "batch of table '" + name_ + "' exceeds 2^32 tuples");
+      slot = static_cast<std::uint32_t>(bv.items.size() + 1);
       bv.items.push_back(t);
       bv.sign.push_back(sign);
       stats_.delta_inserts.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    std::int32_t& s = bv.sign[it->second];
+    std::int32_t& s = bv.sign[slot - 1];
     if (decl_.counted_ && sign != kUpsertSign && s != kUpsertSign) {
       // Counted tables accumulate signed multiplicity instead of
       // deduping: an insert and a retract of the same tuple meeting in
@@ -1599,6 +1627,31 @@ class Table final : public TableBase {
       return;
     }
     stats_.delta_dups.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// The index slot of `t` in `bv`: the one naming its item, or the
+  /// empty slot where it belongs.
+  std::uint32_t& index_slot(BatchVec& bv, const T& t) const {
+    const std::size_t mask = bv.index.size() - 1;
+    for (std::size_t i = decl_.hash_(t) & mask;; i = (i + 1) & mask) {
+      std::uint32_t& slot = bv.index[i];
+      if (slot == 0 || bv.items[slot - 1] == t) return slot;
+    }
+  }
+
+  /// Grows bv.index (rehashing the items) so `n` items fit at load
+  /// <= 1/2.
+  void reserve_index(BatchVec& bv, std::size_t n) const {
+    if (2 * n <= bv.index.size()) return;
+    std::size_t cap = std::max<std::size_t>(bv.index.size(), 16);
+    while (cap < 2 * n) cap *= 2;
+    bv.index.assign(cap, 0);
+    const std::size_t mask = cap - 1;
+    for (std::size_t k = 0; k < bv.items.size(); ++k) {
+      std::size_t i = decl_.hash_(bv.items[k]) & mask;
+      while (bv.index[i] != 0) i = (i + 1) & mask;
+      bv.index[i] = static_cast<std::uint32_t>(k + 1);
+    }
   }
 
   /// -noDelta path (§5.1): straight into Gamma, fire rules inline.
@@ -1689,9 +1742,9 @@ class Table final : public TableBase {
   /// membership alone and count 0 by absence, so insert-only workloads
   /// never touch the map and its size is bounded by the number of
   /// over-inserted or indebted tuples, not by the table.  Batch items
-  /// are distinct (the seen map dedups), so per-tuple transitions never
-  /// race even under parallel phase A; the shard mutex only guards map
-  /// structure against different tuples sharing a shard.
+  /// are distinct (the batch's dedup index), so per-tuple transitions
+  /// never race even under parallel phase A; the shard mutex only guards
+  /// map structure against different tuples sharing a shard.
   struct CountShard {
     explicit CountShard(const Table* t) : map(8, HashAdapter{t}) {}
     std::mutex mu;
@@ -2126,12 +2179,11 @@ class Table final : public TableBase {
   // --- batch-at-a-time emission state ---
   bool emit_enabled_ = false;  // configure(): option AND env AND !noDelta
   const std::uint64_t emit_serial_ = next_emit_serial();
-  std::atomic<bool> emit_dirty_{false};  // any record buffered since flush
+  std::atomic<bool> emit_dirty_{false};  // any put buffered since flush
   std::mutex emit_mu_;  // guards emit_buffers_ registration
   std::vector<std::unique_ptr<EmitBuffer>> emit_buffers_;
   // flush_emits scratch (coordinator-only), reused across batches.
-  std::vector<const EmitRecord*> flush_ptrs_;
-  std::vector<std::ptrdiff_t> flush_next_;
+  std::vector<EmitSpan> flush_spans_;
   std::vector<EmitGroup> flush_groups_;
   std::vector<DeltaKey> flush_keys_;
 };

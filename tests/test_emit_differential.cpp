@@ -14,7 +14,12 @@
 // flush reordered, dropped or double-applied a record.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <mutex>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/simd.h"
 #include "differential.h"
@@ -194,6 +199,188 @@ TEST(EmitDifferential, EpochWavesWithRetainBuffered) {
                                       /*retain=*/2, /*epoch_per_wave=*/true),
               want)
         << repro(seed, kExe, "EmitDifferential.EpochWavesWithRetainBuffered");
+  }
+}
+
+// --- run grouping and the batch dedup index ---------------------------------
+
+// A rule emitting into several future Delta keys in alternation: runs of
+// one or two puts per key interleave, so the flush must regroup runs by
+// key in first-appearance order and keep each key's put order.  The
+// effect logs processing order; sequential mode must reproduce the direct
+// path's log exactly, 4 workers the same set.
+TEST(EmitDifferential, InterleavedKeysKeepSequentialPutOrder) {
+  struct Ev {
+    std::int64_t gen, lane, i;
+    auto operator<=>(const Ev&) const = default;
+  };
+  constexpr std::int64_t kGens = 4;
+  constexpr std::int64_t kLanes = 3;
+  const auto run = [](const EngineOptions& opts, std::uint64_t seed) {
+    std::vector<Ev> log;
+    std::mutex mu;
+    Engine eng(opts);
+    auto& ev = eng.table(TableDecl<Ev>("Ev")
+                             .orderby_lit("E")
+                             .orderby_seq("gen", &Ev::gen)
+                             .orderby_seq("lane", &Ev::lane)
+                             .orderby_par("i")
+                             .hash([](const Ev& e) {
+                               return hash_fields(e.gen, e.lane, e.i);
+                             })
+                             .effect([&](const Ev& e) {
+                               std::lock_guard<std::mutex> lk(mu);
+                               log.push_back(e);
+                             }));
+    const auto mul = static_cast<std::int64_t>(seed % 7) + 3;
+    eng.rule(ev, "spread", [&ev, mul](RuleCtx& ctx, const Ev& e) {
+      if (e.gen + 1 >= kGens) return;
+      for (std::int64_t f = 0; f < 12; ++f) {
+        // Lanes cycle 0,0,1,1,2,2 or 0,1,2 by parity of the trigger, and
+        // i collides across triggers, so some puts are batch duplicates.
+        const std::int64_t lane = (e.i % 2 == 0 ? f / 2 : f) % kLanes;
+        ev.put(ctx, Ev{e.gen + 1, lane, (e.i * mul + f) % 40});
+      }
+    });
+    for (std::int64_t i = 0; i < 24; ++i) {
+      eng.put(ev, Ev{0, i % kLanes, i});
+    }
+    eng.run();
+    return log;
+  };
+  const std::uint64_t n = seed_count(20);
+  const std::uint64_t base = seed_base();
+  for (std::uint64_t seed = base; seed < base + n; ++seed) {
+    EngineOptions direct;
+    direct.sequential = true;
+    direct.emit_buffer = false;
+    EngineOptions buffered = direct;
+    buffered.emit_buffer = true;
+    const std::vector<Ev> want = run(direct, seed);
+    ASSERT_GT(want.size(), 100u);
+    EXPECT_EQ(run(buffered, seed), want)
+        << repro(seed, kExe, "EmitDifferential.InterleavedKeys*");
+    const std::set<Ev> want_set(want.begin(), want.end());
+    EXPECT_EQ(want_set.size(), want.size());  // each tuple fires once
+    for (const bool emit : {false, true}) {
+      EngineOptions par;
+      par.sequential = false;
+      par.threads = 4;
+      par.emit_buffer = emit;
+      const std::vector<Ev> got = run(par, seed);
+      EXPECT_EQ(std::set<Ev>(got.begin(), got.end()), want_set)
+          << "4 workers, emit=" << emit << ", "
+          << repro(seed, kExe, "EmitDifferential.InterleavedKeys*");
+    }
+  }
+}
+
+// The batch dedup index under hash collisions and growth: thousands of
+// distinct tuples plus duplicates land in one Delta batch, through a
+// constant hash (every probe chain is the whole table) and a real one.
+// Gamma must equal the oracle and the batch counters must count exactly
+// the distinct tuples and the duplicates; counted inserts and retracts of
+// the same tuple in the batch must annihilate.
+TEST(EmitDifferential, DedupIndexUnderCollisionsAndGrowth) {
+  struct Src {
+    std::int64_t s;
+    auto operator<=>(const Src&) const = default;
+  };
+  struct Dst {
+    std::int64_t v;
+    auto operator<=>(const Dst&) const = default;
+  };
+  constexpr std::int64_t kSeeds = 64;
+  constexpr std::int64_t kPerSeed = 60;
+  constexpr std::int64_t kRange = 3000;
+  const auto value = [](std::int64_t s, std::int64_t j) {
+    return (s * 47 + j * 53) % kRange;
+  };
+  std::set<std::int64_t> distinct;
+  for (std::int64_t s = 0; s < kSeeds; ++s) {
+    for (std::int64_t j = 0; j < kPerSeed; ++j) distinct.insert(value(s, j));
+  }
+  const auto puts = kSeeds * kPerSeed;
+  ASSERT_GT(distinct.size(), 2000u);
+  ASSERT_LT(static_cast<std::int64_t>(distinct.size()), puts);
+
+  for (const bool constant_hash : {true, false}) {
+    const std::function<std::size_t(const Dst&)> dst_hash =
+        constant_hash ? std::function<std::size_t(const Dst&)>(
+                            [](const Dst&) -> std::size_t { return 7; })
+                      : [](const Dst& d) { return hash_fields(d.v); };
+    for (const bool sequential : {true, false}) {
+      for (const bool emit : {true, false}) {
+        for (const bool counted : {false, true}) {
+          SCOPED_TRACE(std::string(constant_hash ? "constant" : "real") +
+                       " hash, " + (sequential ? "sequential" : "4 workers") +
+                       ", emit=" + (emit ? "on" : "off") +
+                       (counted ? ", counted" : ""));
+          EngineOptions opts;
+          opts.sequential = sequential;
+          opts.threads = 4;
+          opts.emit_buffer = emit;
+          Engine eng(opts);
+          auto& src = eng.table(TableDecl<Src>("Src").orderby_lit("S").hash(
+              [](const Src& x) { return hash_fields(x.s); }));
+          TableDecl<Dst> dst_decl =
+              TableDecl<Dst>("Dst").orderby_lit("D").hash(dst_hash);
+          if (counted) dst_decl.counted();
+          auto& dst = eng.table(std::move(dst_decl));
+          eng.order({"S", "D"});
+          eng.rule(src, "fan", [&](RuleCtx& ctx, const Src& x) {
+            for (std::int64_t j = 0; j < kPerSeed; ++j) {
+              const std::int64_t v = value(x.s, j);
+              // Counted: the first put of every third value carries a
+              // retract of it too.
+              if (counted && v % 3 == 0 && j == 0) dst.retract(ctx, Dst{v});
+              dst.put(ctx, Dst{v});
+            }
+          });
+          for (std::int64_t s = 0; s < kSeeds; ++s) eng.put(src, Src{s});
+          eng.run();
+          std::set<std::int64_t> got;
+          dst.scan([&](const Dst& d) { got.insert(d.v); });
+          const Counters c = dst.stats().load();
+          if (!counted) {
+            EXPECT_EQ(got, distinct);
+            EXPECT_EQ(c.delta_inserts,
+                      static_cast<std::int64_t>(distinct.size()));
+            EXPECT_EQ(c.delta_dups,
+                      puts - static_cast<std::int64_t>(distinct.size()));
+            continue;
+          }
+          // Counted tables accumulate signs instead of deduping: every
+          // delta counts as a Delta insert, and each value nets to its
+          // put count minus its retract count.
+          std::map<std::int64_t, std::int64_t> net;
+          std::int64_t retracts = 0;
+          for (std::int64_t s = 0; s < kSeeds; ++s) {
+            for (std::int64_t j = 0; j < kPerSeed; ++j) {
+              const std::int64_t v = value(s, j);
+              ++net[v];
+              if (v % 3 == 0 && j == 0) {
+                --net[v];
+                ++retracts;
+              }
+            }
+          }
+          std::set<std::int64_t> want;
+          std::int64_t annihilated = 0;
+          for (const auto& [v, k] : net) {
+            if (k > 0) want.insert(v);
+            if (k == 0) ++annihilated;
+          }
+          ASSERT_GT(annihilated, 0);
+          EXPECT_EQ(got, want);
+          EXPECT_EQ(c.delta_inserts, puts + retracts);
+          EXPECT_EQ(c.delta_dups, 0);
+          EXPECT_EQ(c.gamma_inserts, static_cast<std::int64_t>(want.size()));
+          EXPECT_EQ(c.gamma_erased, 0);
+          EXPECT_EQ(c.retract_debts, 0);
+        }
+      }
+    }
   }
 }
 

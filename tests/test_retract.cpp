@@ -15,6 +15,7 @@
 //    under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -367,6 +368,39 @@ TEST(CountedTable, CascadeCorrectAcrossParallelEngineAndSubstrates) {
       EXPECT_EQ(facts.stats().gamma_erased.load(), 32);
     }
   }
+}
+
+// The default parallel Gamma store (a skip list) only retires the nodes
+// erase() unlinks; Engine::run() frees them on its Delta GC schedule,
+// which carries over from one run to the next.  Many one-batch insert and
+// retract waves must keep the retired nodes within one GC interval's
+// worth of erasures instead of accumulating every erased node.
+TEST(CountedTable, ParallelGammaGarbageStaysBoundedAcrossWaves) {
+  EngineOptions opts;
+  opts.sequential = false;
+  opts.threads = 4;
+  opts.gc_interval_batches = 4;
+  Engine eng(opts);
+  auto& facts = eng.table(fact_decl("Fact"));
+  eng.prepare();
+  const auto* store = dynamic_cast<const SkipListStore<Fact>*>(facts.store());
+  ASSERT_NE(store, nullptr) << facts.store()->describe();
+  constexpr std::int64_t kPerWave = 64;
+  constexpr int kWaves = 100;
+  std::size_t peak = 0;
+  for (int wave = 0; wave < kWaves; ++wave) {
+    for (std::int64_t k = 0; k < kPerWave; ++k) eng.put(facts, {k, 0});
+    eng.run();
+    EXPECT_EQ(facts.gamma_size(), static_cast<std::size_t>(kPerWave));
+    for (std::int64_t k = 0; k < kPerWave; ++k) eng.retract(facts, {k, 0});
+    eng.run();
+    EXPECT_EQ(facts.gamma_size(), 0u);
+    peak = std::max(peak, store->retired());
+  }
+  EXPECT_EQ(facts.stats().gamma_erased.load(), kWaves * kPerWave);
+  EXPECT_GT(peak, 0u);
+  EXPECT_LE(peak, static_cast<std::size_t>(opts.gc_interval_batches) *
+                      static_cast<std::size_t>(kPerWave));
 }
 
 // --- upserts ----------------------------------------------------------------
