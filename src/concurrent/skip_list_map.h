@@ -12,6 +12,16 @@
 // `top_level + 1` forward pointers, and locks with a one-byte
 // test-and-test-and-set flag, so a search hop touches one block.
 //
+// Insert finger: each thread remembers the predecessors of its last
+// insert into a map.  When the next key lands right after that insert
+// (ascending runs, like a CSV region in file order), get_or_insert walks
+// only the levels it links from those predecessors instead of searching
+// from the head.  A map id that is never reused and a generation bumped
+// whenever nodes are freed keep a finger from pointing into freed
+// memory; a finger node may be marked, and then lock validation fails and
+// the insert retries from the head.  The size is a ShardedCounter, so
+// parallel inserts write no shared line outside the nodes they link.
+//
 // Memory reclamation: Java relies on GC; here erased nodes are *retired* to
 // a list and physically freed only by collect_garbage() / the destructor.
 // The JStar engine calls collect_garbage() only between Delta batches, when
@@ -30,15 +40,25 @@
 
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/sharded_counter.h"
 
 namespace jstar::concurrent {
+
+namespace detail {
+/// Source of SkipListMap ids (0 is no map), so a thread's finger never
+/// matches a later map that reuses a destroyed one's address.
+inline std::atomic<std::uint64_t> next_skip_list_id{1};
+}  // namespace detail
 
 template <typename K, typename V, typename Compare = std::less<K>>
 class SkipListMap {
  public:
   static constexpr int kMaxLevel = 24;
 
-  SkipListMap() : head_(make_node(K{}, V{}, kMaxLevel - 1)) {
+  SkipListMap()
+      : head_(make_node(K{}, V{}, kMaxLevel - 1)),
+        id_(detail::next_skip_list_id.fetch_add(1,
+                                                std::memory_order_relaxed)) {
     head_->fully_linked.store(true, std::memory_order_release);
   }
 
@@ -63,8 +83,12 @@ class SkipListMap {
     Node* preds[kMaxLevel];
     Node* succs[kMaxLevel];
     const int top = random_level();
+    Finger& finger = tl_finger_;
+    bool from_finger = finger_fits(finger, key);
     for (;;) {
-      const int found_level = find(key, preds, succs);
+      const int found_level =
+          from_finger ? find(key, preds, succs, &finger, top)
+                      : find(key, preds, succs);
       if (found_level != -1) {
         Node* found = succs[found_level];
         if (!found->marked.load(std::memory_order_acquire)) {
@@ -75,6 +99,7 @@ class SkipListMap {
         }
         // Node logically deleted; retry until physically gone.
         std::this_thread::yield();
+        from_finger = false;
         continue;
       }
       // Lock the predecessors bottom-up and validate.
@@ -91,7 +116,10 @@ class SkipListMap {
                 pred->next(level).load(std::memory_order_acquire) ==
                     succs[level];
       }
-      if (!valid) continue;
+      if (!valid) {
+        from_finger = false;
+        continue;
+      }
       Node* node = make_node(key, make(), top);
       for (int level = 0; level <= top; ++level) {
         node->next(level).store(succs[level], std::memory_order_relaxed);
@@ -101,6 +129,16 @@ class SkipListMap {
       }
       node->fully_linked.store(true, std::memory_order_release);
       size_.fetch_add(1, std::memory_order_relaxed);
+      // A finger walk filled preds only up to `top`; the levels above
+      // keep their older predecessors, which still precede this key.
+      if (!from_finger) {
+        for (int level = top + 1; level < kMaxLevel; ++level) {
+          finger.preds[level] = preds[level];
+        }
+        finger.map_id = id_;
+        finger.gen = gen_.load(std::memory_order_relaxed);
+      }
+      for (int level = 0; level <= top; ++level) finger.preds[level] = node;
       return node->value;
     }
   }
@@ -185,7 +223,7 @@ class SkipListMap {
         }
         victim->lock.unlock();
         retire(victim);
-        size_.fetch_sub(1, std::memory_order_relaxed);
+        size_.fetch_add(-1, std::memory_order_relaxed);
         return true;
       }
       return false;
@@ -206,7 +244,8 @@ class SkipListMap {
     key_out = first->key;
     value_out = std::move(first->value);
     destroy_node(first);
-    size_.fetch_sub(1, std::memory_order_relaxed);
+    gen_.fetch_add(1, std::memory_order_relaxed);
+    size_.fetch_add(-1, std::memory_order_relaxed);
     return true;
   }
 
@@ -272,8 +311,10 @@ class SkipListMap {
   /// EXCLUSIVE-PHASE ONLY.  Frees retired (erased) nodes.
   void collect_garbage() {
     std::lock_guard<std::mutex> lk(retired_mu_);
+    if (retired_.empty()) return;
     for (Node* r : retired_) destroy_node(r);
     retired_.clear();
+    gen_.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Erased nodes not yet freed by collect_garbage().
@@ -358,12 +399,40 @@ class SkipListMap {
     return !less_(a, b) && !less_(b, a);
   }
 
-  /// Fills preds/succs for every level; returns the highest level at which
-  /// `key` was found, or -1.
-  int find(const K& key, Node** preds, Node** succs) const {
+  /// The predecessors of this thread's last insert into map `map_id`,
+  /// valid while that map's generation is still `gen`.  One record per
+  /// thread and map type: a thread alternating between two maps of one
+  /// type searches from the head.
+  struct Finger {
+    std::uint64_t map_id;
+    std::uint64_t gen;
+    Node* preds[kMaxLevel];
+  };
+
+  /// Whether `key` belongs right after this thread's last insert here:
+  /// no node has been freed since, the finger's level-0 node is below
+  /// `key` and its successor is not.
+  bool finger_fits(const Finger& f, const K& key) const {
+    if (f.map_id != id_ || f.gen != gen_.load(std::memory_order_relaxed)) {
+      return false;
+    }
+    Node* pred = f.preds[0];
+    if (pred != head_ && !less_(pred->key, key)) return false;
+    Node* succ = pred->next(0).load(std::memory_order_acquire);
+    return succ == nullptr || !less_(succ->key, key);
+  }
+
+  /// Fills preds/succs for levels top..0; returns the highest of those
+  /// levels at which `key` was found, or -1.  Searches from the head, or,
+  /// given a finger that fits `key` (finger_fits), starts each level from
+  /// the finger's predecessor there, every one of which precedes `key`.
+  int find(const K& key, Node** preds, Node** succs,
+           const Finger* from = nullptr,
+           int top = kMaxLevel - 1) const {
     int found = -1;
     Node* pred = head_;
-    for (int level = kMaxLevel - 1; level >= 0; --level) {
+    for (int level = top; level >= 0; --level) {
+      if (from != nullptr) pred = from->preds[level];
       Node* curr = pred->next(level).load(std::memory_order_acquire);
       while (curr != nullptr && less_(curr->key, key)) {
         pred = curr;
@@ -396,9 +465,17 @@ class SkipListMap {
     retired_.push_back(n);
   }
 
+  // Zero-initialized, so it matches no map (ids start at 1) and reading
+  // it costs no TLS init guard.
+  static inline thread_local Finger tl_finger_{};
+
   Node* head_;
   Compare less_{};
-  std::atomic<std::int64_t> size_{0};
+  const std::uint64_t id_;
+  // Bumped whenever nodes are freed (pop_min, collect_garbage); only the
+  // exclusive phases write it.
+  std::atomic<std::uint64_t> gen_{0};
+  ShardedCounter size_;
   mutable std::mutex retired_mu_;
   std::vector<Node*> retired_;
 };

@@ -54,6 +54,7 @@
 #include "core/gamma_store.h"
 #include "core/simd.h"
 #include "sched/fork_join_pool.h"
+#include "util/small_vec.h"
 
 namespace jstar {
 
@@ -479,7 +480,7 @@ class FlatHashStore final : public GammaStore<T> {
                                                    : slots_.size());
     }
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash_(t) & mask;
+    std::size_t i = mix64(hash_(t)) & mask;
     std::size_t spot = kNpos;  // first tombstone on the chain, reusable
     while (used_[i] != kEmpty) {
       if (used_[i] == kUsed && slots_[i] == t) return false;
@@ -622,7 +623,7 @@ class FlatHashStore final : public GammaStore<T> {
   /// The load-factor bound guarantees an empty terminator exists.
   std::size_t find(const T& t) const {
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash_(t) & mask;
+    std::size_t i = mix64(hash_(t)) & mask;
     while (used_[i] != kEmpty) {
       if (used_[i] == kUsed && slots_[i] == t) return i;
       i = (i + 1) & mask;
@@ -641,7 +642,7 @@ class FlatHashStore final : public GammaStore<T> {
     const std::size_t mask = cap - 1;
     for (std::size_t i = 0; i < old_slots.size(); ++i) {
       if (old_used[i] != kUsed) continue;
-      std::size_t j = hash_(old_slots[i]) & mask;
+      std::size_t j = mix64(hash_(old_slots[i])) & mask;
       while (used_[j] != kEmpty) j = (j + 1) & mask;
       slots_[j] = std::move(old_slots[i]);
       used_[j] = kUsed;

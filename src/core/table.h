@@ -1434,8 +1434,10 @@ class Table final : public TableBase {
     std::function<std::int64_t(const T&)> getter;
   };
 
-  /// Striped hash multimap from an integral key to tuples; safe for
-  /// concurrent inserts from parallel rule tasks.  Composite indexes mix
+  /// Striped hash map from an integral key to a contiguous bucket of
+  /// tuples; safe for concurrent inserts from parallel rule tasks.  A
+  /// lookup walks one vector, and an indexed tuple costs its bytes in the
+  /// bucket rather than a heap node.  Composite indexes mix
   /// the field values into one key — a mix collision only costs extra
   /// residual-filter work, never a wrong result, because query() always
   /// re-applies the full predicate.
@@ -1471,29 +1473,33 @@ class Table final : public TableBase {
       const std::int64_t key = key_of(t);
       Shard& s = shard_for(key);
       std::lock_guard<std::mutex> lk(s.mu);
-      s.map.emplace(key, t);
+      s.map[key].push_back(t);
     }
-    /// Removes one entry equal to `t`, if present; returns whether an
-    /// entry was removed (retention sweeps count these).
+    /// Removes one entry equal to `t`, if present, by moving the
+    /// bucket's last entry into its place (bucket order carries no
+    /// meaning); an emptied bucket is dropped.  Returns whether an entry
+    /// was removed (retention sweeps count these).
     bool erase(const T& t) {
       const std::int64_t key = key_of(t);
       Shard& s = shard_for(key);
       std::lock_guard<std::mutex> lk(s.mu);
-      auto [lo, hi] = s.map.equal_range(key);
-      for (auto it = lo; it != hi; ++it) {
-        if (it->second == t) {
-          s.map.erase(it);
-          return true;
-        }
-      }
-      return false;
+      const auto it = s.map.find(key);
+      if (it == s.map.end()) return false;
+      std::vector<T>& bucket = it->second;
+      const auto pos = std::find(bucket.begin(), bucket.end(), t);
+      if (pos == bucket.end()) return false;
+      if (pos != bucket.end() - 1) *pos = std::move(bucket.back());
+      bucket.pop_back();
+      if (bucket.empty()) s.map.erase(it);
+      return true;
     }
     void lookup(std::int64_t key,
                 const std::function<void(const T&)>& fn) const {
       const Shard& s = shard_for(key);
       std::lock_guard<std::mutex> lk(s.mu);
-      auto [lo, hi] = s.map.equal_range(key);
-      for (auto it = lo; it != hi; ++it) fn(it->second);
+      const auto it = s.map.find(key);
+      if (it == s.map.end()) return;
+      for (const T& t : it->second) fn(t);
     }
 
     std::vector<const void*> tags;
@@ -1502,7 +1508,7 @@ class Table final : public TableBase {
    private:
     struct Shard {
       mutable std::mutex mu;
-      std::unordered_multimap<std::int64_t, T> map;
+      std::unordered_map<std::int64_t, std::vector<T>> map;
     };
     Shard& shard_for(std::int64_t key) {
       return shards[static_cast<std::size_t>(key) % shards.size()];
@@ -1633,7 +1639,8 @@ class Table final : public TableBase {
   /// empty slot where it belongs.
   std::uint32_t& index_slot(BatchVec& bv, const T& t) const {
     const std::size_t mask = bv.index.size() - 1;
-    for (std::size_t i = decl_.hash_(t) & mask;; i = (i + 1) & mask) {
+    for (std::size_t i = mix64(decl_.hash_(t)) & mask;;
+         i = (i + 1) & mask) {
       std::uint32_t& slot = bv.index[i];
       if (slot == 0 || bv.items[slot - 1] == t) return slot;
     }
@@ -1648,7 +1655,7 @@ class Table final : public TableBase {
     bv.index.assign(cap, 0);
     const std::size_t mask = cap - 1;
     for (std::size_t k = 0; k < bv.items.size(); ++k) {
-      std::size_t i = decl_.hash_(bv.items[k]) & mask;
+      std::size_t i = mix64(decl_.hash_(bv.items[k])) & mask;
       while (bv.index[i] != 0) i = (i + 1) & mask;
       bv.index[i] = static_cast<std::uint32_t>(k + 1);
     }

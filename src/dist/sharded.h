@@ -110,21 +110,19 @@
 #include "core/engine.h"
 #include "dist/mailbox.h"
 #include "sched/fork_join_pool.h"
+#include "util/small_vec.h"
 #include "util/timer.h"
 
 namespace jstar::dist {
 
 /// Hash partitioning of an integral key onto [0, shards).  The key is run
-/// through the SplitMix64 finaliser first, so clustered key ranges (vertex
-/// ids, months, ...) still spread evenly; the cast to uint64 makes negative
-/// keys well-defined.  Pure function of (key, shards) — callers rely on its
+/// through the SplitMix64 finaliser (mix64) first, so clustered key ranges
+/// (vertex ids, months, ...) still spread evenly; the cast to uint64 makes
+/// negative keys well-defined.  Pure function of (key, shards) — callers rely on its
 /// stability to route a tuple to the shard that owns its key.
 inline int partition_of(std::int64_t key, int shards) {
   if (shards < 1) throw std::logic_error("partition_of: shards must be >= 1");
-  std::uint64_t z = static_cast<std::uint64_t>(key) + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
+  const std::uint64_t z = mix64(static_cast<std::uint64_t>(key));
   return static_cast<int>(z % static_cast<std::uint64_t>(shards));
 }
 

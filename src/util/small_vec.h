@@ -150,4 +150,15 @@ std::size_t hash_fields(const Args&... args) {
   return seed;
 }
 
+/// The SplitMix64 finalizer: every input bit reaches every output bit.
+/// hash_fields' low bits cluster for nearby field values (and
+/// std::hash of an integer is the integer), so every table that masks a
+/// hash to a power of two masks mix64(hash) instead.
+inline std::uint64_t mix64(std::uint64_t z) {
+  z += 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 }  // namespace jstar

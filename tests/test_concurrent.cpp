@@ -216,6 +216,161 @@ TEST(SkipListMap, NodeLifetimeWithStringKeys) {
   EXPECT_GT(m.retired(), 0u);
 }
 
+// --- the per-thread insert finger -------------------------------------------
+//
+// get_or_insert starts from this thread's last insert when the key lands
+// right after it.  These pin its results against a std::set oracle and
+// its lifetime rule: a finger into nodes freed by collect_garbage or
+// pop_min must never be followed (a use after free the ASan build sees).
+
+std::set<int> contents(const SkipListMap<int, int>& m) {
+  std::set<int> out;
+  m.for_each([&](const int& k, const int&) { out.insert(k); });
+  return out;
+}
+
+TEST(SkipListFinger, ParallelAscendingRunsMatchSetOracle) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  // Disjoint: thread t owns [t * kPerThread, (t + 1) * kPerThread), so
+  // each insert lands right after its own last one.  Interleaved: thread
+  // t owns t, t + 4, t + 8, ..., so other threads' keys usually sit
+  // between the finger and the next key.
+  for (const bool interleaved : {false, true}) {
+    SkipListMap<int, int> m;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          const int k = interleaved ? i * kThreads + t : t * kPerThread + i;
+          EXPECT_TRUE(m.insert(k, k));
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    std::set<int> oracle;
+    for (int k = 0; k < kThreads * kPerThread; ++k) oracle.insert(k);
+    EXPECT_EQ(contents(m), oracle) << (interleaved ? "interleaved" : "disjoint");
+    EXPECT_EQ(m.size(), oracle.size());
+    for (int k = 0; k < kThreads * kPerThread; k += 997) {
+      ASSERT_NE(m.find_value(k), nullptr);
+      EXPECT_EQ(*m.find_value(k), k);
+    }
+  }
+}
+
+TEST(SkipListFinger, NodesFreedByGarbageCollectionAreNotFollowed) {
+  SkipListMap<int, int> m;
+  for (int k = 0; k < 100; ++k) ASSERT_TRUE(m.insert(k, k));
+  // The finger now holds node 99 at level 0 (and more nodes above).
+  for (int k = 50; k < 100; ++k) ASSERT_TRUE(m.erase(k));
+  m.collect_garbage();
+  // 100 lands right after the freed node 99: the insert must search from
+  // the head.
+  ASSERT_TRUE(m.insert(100, 100));
+  ASSERT_TRUE(m.insert(101, 101));
+  std::set<int> oracle;
+  for (int k = 0; k < 50; ++k) oracle.insert(k);
+  oracle.insert({100, 101});
+  EXPECT_EQ(contents(m), oracle);
+  EXPECT_EQ(m.size(), oracle.size());
+  // A finger node that is erased but not yet collected is marked, not
+  // freed: the next insert may start from it and must still land right.
+  ASSERT_TRUE(m.erase(101));
+  ASSERT_TRUE(m.insert(102, 102));
+  oracle.erase(101);
+  oracle.insert(102);
+  EXPECT_EQ(contents(m), oracle);
+  EXPECT_EQ(m.size(), oracle.size());
+}
+
+TEST(SkipListFinger, NodesFreedByPopMinAreNotFollowed) {
+  SkipListMap<int, int> m;
+  for (int round = 0; round < 50; ++round) {
+    ASSERT_TRUE(m.insert(round, round));  // the finger holds this node
+    int k = -1, v = -1;
+    ASSERT_TRUE(m.pop_min(k, v));         // ...which pop_min frees
+    EXPECT_EQ(k, round);
+    EXPECT_TRUE(m.empty());
+  }
+  for (int k = 100; k < 140; ++k) {
+    ASSERT_TRUE(m.insert(k, k));
+    int popped = -1, v = -1;
+    if (k % 3 == 0) {
+      ASSERT_TRUE(m.pop_min(popped, v));
+    }
+  }
+  std::set<int> oracle;
+  for (int k = 100; k < 140; ++k) oracle.insert(k);
+  for (int i = 0; i < 13; ++i) oracle.erase(oracle.begin());
+  EXPECT_EQ(contents(m), oracle);
+  EXPECT_EQ(m.size(), oracle.size());
+}
+
+TEST(SkipListFinger, OneThreadAlternatingBetweenTwoMaps) {
+  SkipListMap<int, int> a, b;
+  std::set<int> oracle_a, oracle_b;
+  // Key by key into each map in turn, then runs into each in turn, each
+  // continuing where the last one ended.
+  for (int k = 0; k < 2000; ++k) {
+    ASSERT_TRUE(a.insert(2 * k, k));
+    ASSERT_TRUE(b.insert(2 * k + 1, k));
+    oracle_a.insert(2 * k);
+    oracle_b.insert(2 * k + 1);
+  }
+  for (int run = 0; run < 20; ++run) {
+    for (int k = 0; k < 50; ++k) {
+      const int key = 4000 + run * 50 + k;
+      ASSERT_TRUE((run % 2 == 0 ? a : b).insert(key, key));
+      (run % 2 == 0 ? oracle_a : oracle_b).insert(key);
+    }
+  }
+  EXPECT_EQ(contents(a), oracle_a);
+  EXPECT_EQ(contents(b), oracle_b);
+  EXPECT_EQ(a.size(), oracle_a.size());
+  EXPECT_EQ(b.size(), oracle_b.size());
+}
+
+TEST(SkipListFinger, DuplicateRightAfterTheFingerIsRejected) {
+  SkipListMap<int, int> m;
+  ASSERT_TRUE(m.insert(20, 20));
+  // 10 precedes the finger (node 20), so it is found from the head, and
+  // the finger becomes node 10, whose successor is 20...
+  ASSERT_TRUE(m.insert(10, 10));
+  // ...so 20 fits right after the finger and is found there.
+  EXPECT_FALSE(m.insert(20, 99));
+  EXPECT_EQ(*m.find_value(20), 20);
+  ASSERT_TRUE(m.insert(15, 15));
+  EXPECT_FALSE(m.insert(20, 99));
+  EXPECT_EQ(m.size(), 3u);
+  EXPECT_EQ(contents(m), (std::set<int>{10, 15, 20}));
+}
+
+// The size is a ShardedCounter: inserts and erases from more threads than
+// it has cells must still sum to the live count.
+TEST(SkipListMap, SizeFromPerThreadCellsIsExact) {
+  SkipListMap<int, int> m;
+  constexpr int kThreads = 2 * static_cast<int>(kCounterSlots);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      SplitMix64 rng(static_cast<std::uint64_t>(t) * 31 + 7);
+      for (int i = 0; i < 4000; ++i) {
+        const int k = static_cast<int>(rng.next_below(1024));
+        if (rng.next() % 3 != 0) {
+          m.insert(k, k);
+        } else {
+          m.erase(k);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(m.size(), contents(m).size());
+  m.collect_garbage();
+  EXPECT_EQ(m.size(), contents(m).size());
+}
+
 TEST(SkipListSet, BasicSetOperations) {
   SkipListSet<int> s;
   EXPECT_TRUE(s.insert(3));

@@ -713,6 +713,66 @@ TEST(RetractVsRetirement, ParallelChurnKeepsIndexAndStoreCoherent) {
   EXPECT_GT(items.stats().gamma_retired.load(), 0);
 }
 
+// A secondary index keeps one contiguous bucket per key; erase moves the
+// bucket's last entry into the hole.  Thousands of tuples under one key,
+// thinned by counted retracts in scattered order and then swept by the
+// retain(2) window, must keep index-routed queries equal to scans, and
+// every swept tuple must leave the index exactly once.
+TEST(IndexBucket, OneHotKeyUnderRetractsAndRetainSweep) {
+  EngineOptions opts;
+  opts.sequential = false;
+  opts.threads = 4;
+  Engine eng(opts);
+  auto& items = eng.table(item_decl());
+  items.add_index(&Item::cat);
+  const auto check = [&](const char* step) {
+    for (const std::int64_t cat : {1, 2}) {
+      ASSERT_EQ(index_query(items, cat), scan_filter(items, cat))
+          << step << ", cat " << cat;
+    }
+  };
+
+  constexpr std::int64_t kHot = 3000, kCold = 40;
+  for (std::int64_t n = 0; n < kHot; ++n) eng.put(items, {1, n});
+  for (std::int64_t n = 0; n < kCold; ++n) eng.put(items, {2, n});
+  eng.run();
+  check("epoch 0 load");
+  EXPECT_EQ(index_query(items, 1).size(), static_cast<std::size_t>(kHot));
+
+  // Retract every third hot tuple in scattered order (i * 7919 permutes
+  // the multiples of 3 below kHot), so holes open all over the bucket.
+  for (std::int64_t i = 0; i < kHot; i += 3) {
+    eng.retract(items, {1, (i * 7919) % kHot});
+  }
+  eng.run();
+  check("after retracts");
+  constexpr std::int64_t kEpoch0Live = kHot - kHot / 3 + kCold;
+  EXPECT_EQ(index_query(items, 1).size(),
+            static_cast<std::size_t>(kHot - kHot / 3));
+
+  // A second copy shields a tuple from one retract (counted table).
+  eng.put(items, {1, 1});
+  eng.run();
+  eng.retract(items, {1, 1});
+  eng.run();
+  check("after the shielded retract");
+  EXPECT_TRUE(items.contains({1, 1}));
+
+  eng.begin_epoch();  // epoch 1: a fresh wave under the same key
+  for (std::int64_t n = kHot; n < kHot + 500; ++n) eng.put(items, {1, n});
+  eng.run();
+  check("epoch 1 load");
+
+  const std::int64_t index_before = items.stats().index_retired.load();
+  const std::int64_t gamma_before = items.stats().gamma_retired.load();
+  eng.begin_epoch();  // epoch 2: retain(2) keeps epochs 1 and 2
+  check("after the retain sweep");
+  EXPECT_EQ(items.stats().gamma_retired.load() - gamma_before, kEpoch0Live);
+  EXPECT_EQ(items.stats().index_retired.load() - index_before, kEpoch0Live);
+  EXPECT_EQ(index_query(items, 1).size(), 500u);
+  EXPECT_TRUE(index_query(items, 2).empty());
+}
+
 // --- configuration guard rails ---------------------------------------------
 
 TEST(CountedTable, RetractOnUncountedTableIsRefused) {

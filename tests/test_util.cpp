@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -182,6 +185,28 @@ TEST(SplitMix64, CoversRange) {
 TEST(HashFields, DistinguishesFieldOrder) {
   EXPECT_NE(hash_fields(1, 2), hash_fields(2, 1));
   EXPECT_EQ(hash_fields(1, 2), hash_fields(1, 2));
+}
+
+// Every table that masks a hash to a power of two (the flat hash store,
+// the batch dedup index) masks mix64(hash).  Consecutive (key, gen) rows
+// — the shape bulk loads and derivations put — must then spread over the
+// whole table: split a 2n-slot table into 256 equal regions and count the
+// regions the rows land in.  The raw hash_fields value fails this (it
+// reaches 42 of 256 regions for 64 keys × 256 gens and 30 for 161k rows
+// of 797 keys), so linear probing walks one long cluster.
+TEST(HashFields, MixedHashesSpreadOverThePowerOfTwoTable) {
+  for (const auto& [keys, rows] :
+       {std::pair<std::int64_t, std::int64_t>{64, 16384}, {797, 161072}}) {
+    const std::size_t cap = std::bit_ceil(static_cast<std::size_t>(2 * rows));
+    const int shift = std::countr_zero(cap) - 8;
+    std::vector<bool> hit(256, false);
+    for (std::int64_t i = 0; i < rows; ++i) {
+      const std::uint64_t h = mix64(hash_fields(i % keys, i / keys));
+      hit[(h & (cap - 1)) >> shift] = true;
+    }
+    EXPECT_GE(std::count(hit.begin(), hit.end(), true), 240)
+        << keys << " keys, " << rows << " rows";
+  }
 }
 
 TEST(FormatDuration, PicksUnits) {
